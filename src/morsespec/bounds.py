@@ -79,12 +79,9 @@ def moser_norm(n: MoserNorm) -> float:
     return n.f_c0 + n.h_integral + n.kappa
 
 
-def iteration_bound(x0: float, alpha: float, beta: float, n: int) -> float:
-    """Closed-form majorant of the recursion x -> max(alpha*x, 0) + beta.
-
-    Value: alpha^n * max(x0, beta) + beta * (alpha^n - 1) / (alpha - 1),
-    read as max(x0, beta) + n*beta when alpha = 1.
-    """
+def _iteration_args(
+    x0: float, alpha: float, beta: float, n: int
+) -> tuple[float, float, float, int]:
     x0 = _require_finite("x0", x0)
     alpha = _require_finite("alpha", alpha)
     beta = _require_finite("beta", beta)
@@ -94,7 +91,16 @@ def iteration_bound(x0: float, alpha: float, beta: float, n: int) -> float:
         raise BoundsDomainError(f"beta must be > 0, got {beta}")
     if n < 0 or int(n) != n:
         raise BoundsDomainError(f"n must be a nonnegative integer, got {n!r}")
-    n = int(n)
+    return x0, alpha, beta, int(n)
+
+
+def iteration_bound(x0: float, alpha: float, beta: float, n: int) -> float:
+    """Closed-form majorant of the recursion x -> max(alpha*x, 0) + beta.
+
+    Value: alpha^n * max(x0, beta) + beta * (alpha^n - 1) / (alpha - 1),
+    read as max(x0, beta) + n*beta when alpha = 1.
+    """
+    x0, alpha, beta, n = _iteration_args(x0, alpha, beta, n)
     if alpha == 1.0:
         return max(x0, beta) + n * beta
     a_n = alpha**n
@@ -103,17 +109,8 @@ def iteration_bound(x0: float, alpha: float, beta: float, n: int) -> float:
 
 def iteration_oracle(x0: float, alpha: float, beta: float, n: int) -> float:
     """Run the recursion x -> max(alpha*x, 0) + beta with equality n times."""
-    x0 = _require_finite("x0", x0)
-    alpha = _require_finite("alpha", alpha)
-    beta = _require_finite("beta", beta)
-    if alpha <= 0:
-        raise BoundsDomainError(f"alpha must be > 0, got {alpha}")
-    if beta <= 0:
-        raise BoundsDomainError(f"beta must be > 0, got {beta}")
-    if n < 0 or int(n) != n:
-        raise BoundsDomainError(f"n must be a nonnegative integer, got {n!r}")
-    x = x0
-    for _ in range(int(n)):
+    x, alpha, beta, n = _iteration_args(x0, alpha, beta, n)
+    for _ in range(n):
         x = max(alpha * x, 0.0) + beta
     return x
 
@@ -197,10 +194,7 @@ def chained_bound(p: BoundParams, n_steps: int) -> float:
     )
     if beta == 0.0:
         return max(p.sigma_minus, 0.0)
-    if alpha == 1.0:
-        return max(p.sigma_minus, beta) + n * beta
-    a_n = alpha**n
-    return a_n * max(p.sigma_minus, beta) + beta * (a_n - 1.0) / (alpha - 1.0)
+    return iteration_bound(p.sigma_minus, alpha, beta, n)
 
 
 def adiabatic_limit_bound(p: BoundParams, statement_variant: bool = False) -> float:

@@ -4,7 +4,8 @@ Subcommands build complexes and fields, run the homology / spectral /
 continuation computations and experiment sweeps, and emit one JSON report on
 stdout (optionally also to a file via ``--json``).
 
-Exit codes: 0 success, 1 a checked property failed, 2 bad input.
+Exit codes: 0 success, 1 a checked property failed, 2 bad input, 141 the
+reader of stdout went away (as after SIGPIPE).
 
 Examples::
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -30,7 +32,6 @@ from . import morse, spectral
 from .complex import (
     CellComplex,
     build_torus_grid,
-    c0_distance,
     load_field,
     load_simplicial,
     make_field,
@@ -108,8 +109,7 @@ def _report(command, inputs, results, passed, failed, seed) -> dict:
 def _cmd_homology(args) -> int:
     cx = _parse_complex(args.complex)
     fld = _parse_field(args.field, cx)
-    gradient = morse.build_gradient(cx, fld)
-    mc = morse.build_morse_complex(cx, fld, gradient)
+    mc = morse.MorseComplex.from_field(cx, fld)
     d2 = morse.verify_d_squared(mc)
     results = {
         "betti": mc.betti(),
@@ -132,17 +132,17 @@ def _cmd_homology(args) -> int:
 def _cmd_spectral(args) -> int:
     cx = _parse_complex(args.complex)
     fld = _parse_field(args.field, cx)
+    classes = _resolve_classes(cx, args.cls)
+    mc = morse.MorseComplex.from_field(cx, fld)
     passed = failed = 0
     results = []
-    for label, Y in _resolve_classes(cx, args.cls):
-        mc, rep = spectral.evaluate_rho(cx, fld, Y)
+    for label, Y in classes:
+        X = spectral.project_class(mc, Y)
+        rep = spectral.spectral_value(mc, X)
         entry = {"class": label, **rep.to_json_dict(), "spectrum_member": rep.spectrum_member}
         ok = rep.spectrum_member
         if args.oracle:
-            xi = mc.gradient.flow_down(Y.support)
-            brute = spectral.exhaustive_spectral_value(
-                mc, HomologyClass(Y.grade, xi, "morse", owner=mc)
-            )
+            brute = spectral.exhaustive_spectral_value(mc, X)
             entry["oracle_sigma"] = brute
             entry["oracle_match"] = brute == rep.sigma
             ok = ok and entry["oracle_match"]
@@ -163,14 +163,10 @@ def _cmd_spectral(args) -> int:
 
 def _compare_one(cx, fa, fb, classes, results):
     passed = failed = 0
-    g_minus = morse.build_gradient(cx, fa)
-    mc_minus = morse.build_morse_complex(cx, fa, g_minus)
-    g_plus = morse.build_gradient(cx, fb)
-    mc_plus = morse.build_morse_complex(cx, fb, g_plus)
+    mc_minus = morse.MorseComplex.from_field(cx, fa)
+    mc_plus = morse.MorseComplex.from_field(cx, fb)
     for label, Y in classes:
-        xi = g_minus.flow_down(Y.support)
-        X = HomologyClass(Y.grade, xi, "morse", owner=mc_minus)
-        rep = sandwich_built(mc_minus, mc_plus, X)
+        rep = sandwich_built(mc_minus, mc_plus, spectral.project_class(mc_minus, Y))
         results.append({"class": label, **rep.to_json_dict()})
         passed += int(rep.passed)
         failed += int(not rep.passed)
@@ -182,6 +178,8 @@ def _cmd_compare(args) -> int:
     classes = _resolve_classes(cx, args.cls)
     results: list[dict] = []
     passed = failed = 0
+    if args.trials < 0:
+        raise MorsespecError(f"--trials must be >= 0, got {args.trials}")
     if args.trials > 0:
         rng = random.Random(args.seed)
         for _ in range(args.trials):
@@ -248,22 +246,20 @@ def _cmd_sweep(args) -> int:
     cx = _parse_complex(args.complex)
     base = _parse_field(args.field, cx)
     family = _family_fields(args, cx, base)
+    classes = _resolve_classes(cx, args.cls)
+    mcs = [morse.MorseComplex.from_field(cx, fld) for fld in family]
+    spectra = [spectral.spectrum(mc) for mc in mcs]
+    spectra_equal = all(sp == spectra[0] for sp in spectra)
     passed = failed = 0
     results: list[dict] = []
-    for label, Y in _resolve_classes(cx, args.cls):
-        values = []
-        spectra = []
-        for fld in family:
-            mc, rep = spectral.evaluate_rho(cx, fld, Y)
-            values.append(rep.sigma)
-            spectra.append(tuple(spectral.spectrum(mc)))
-        margins = []
-        for fa, fb, va, vb in zip(family, family[1:], values, values[1:]):
-            margin = c0_distance(fa, fb) - abs(va - vb)
-            margins.append(margin)
-            passed += int(margin >= 0)
-            failed += int(margin < 0)
-        spectra_equal = all(sp == spectra[0] for sp in spectra)
+    for label, Y in classes:
+        values = [spectral.rho_built(mc, Y).sigma for mc in mcs]
+        checks = [
+            spectral.lipschitz_report(fa, fb, va, vb)
+            for fa, fb, va, vb in zip(family, family[1:], values, values[1:])
+        ]
+        passed += sum(c.passed for c in checks)
+        failed += sum(not c.passed for c in checks)
         constant = None
         if spectra_equal:
             constant = len(set(values)) <= 1
@@ -273,7 +269,7 @@ def _cmd_sweep(args) -> int:
             {
                 "class": label,
                 "rho_values": values,
-                "lipschitz_margins": margins,
+                "lipschitz_margins": [c.rhs - c.lhs for c in checks],
                 "spectra_equal": spectra_equal,
                 "constant": constant,
             }
@@ -327,6 +323,8 @@ def _cmd_bounds(args) -> int:
                 "threshold": bnd.step_threshold(args.delta),
             }
         elif sub == "chain":
+            if args.doublings < 1:
+                raise MorsespecError(f"--doublings must be >= 1, got {args.doublings}")
             n = args.n_steps if args.n_steps else bnd.min_steps(args.delta, args.d1)
             inputs["n_steps"] = n
             results = {
@@ -474,6 +472,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.cmd](args)
+    except BrokenPipeError:
+        # Silence the interpreter's final flush of the dead pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (MorsespecError, OSError, ValueError) as e:
         diag = {"error": str(e), "kind": type(e).__name__}
         for attr in ("threshold", "minimum", "line"):

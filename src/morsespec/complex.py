@@ -163,16 +163,6 @@ def torus_vertex_id(cx: CellComplex, i: int, j: int) -> int:
     return (j % ny) * nx + (i % nx)
 
 
-def torus_h_edge_id(cx: CellComplex, i: int, j: int) -> int:
-    nx, ny = cx.torus_shape
-    return nx * ny + (j % ny) * nx + (i % nx)
-
-
-def torus_v_edge_id(cx: CellComplex, i: int, j: int) -> int:
-    nx, ny = cx.torus_shape
-    return 2 * nx * ny + (j % ny) * nx + (i % nx)
-
-
 def build_from_simplicial(spec: list[list[int]]) -> CellComplex:
     """Close a list of maximal simplices under faces.
 
@@ -236,16 +226,6 @@ class ScalarField:
     vertex_values: tuple[float, ...]
     cell_values: tuple[float, ...]
     order_rank: tuple[int, ...]
-
-    def value(self, cell_id: int) -> float:
-        return self.cell_values[cell_id]
-
-    def order_key(self, cell_id: int) -> tuple[float, int, int]:
-        c = self.complex.cells[cell_id]
-        return (self.cell_values[cell_id], c.dim, cell_id)
-
-    def precedes(self, a: int, b: int) -> bool:
-        return self.order_rank[a] < self.order_rank[b]
 
     def cells_in_order(self) -> list[int]:
         order = [0] * len(self.complex)

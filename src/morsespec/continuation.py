@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from .complex import CellComplex, ScalarField
 from .errors import ChainError
 from .homology import HomologyClass
-from .morse import (
-    MorseComplex,
-    build_gradient,
-    build_morse_complex,
-    homology_basis,
-    same_class,
-)
+from .morse import MorseComplex, homology_basis, same_class
 
 
 @dataclass(frozen=True)
@@ -46,14 +40,6 @@ class ContinuationReport:
         }
 
 
-def _pair(cx: CellComplex, f_minus: ScalarField, f_plus: ScalarField):
-    g_minus = build_gradient(cx, f_minus)
-    g_plus = build_gradient(cx, f_plus)
-    mc_minus = build_morse_complex(cx, f_minus, g_minus)
-    mc_plus = build_morse_complex(cx, f_plus, g_plus)
-    return mc_minus, mc_plus
-
-
 def _transfer(mc_src: MorseComplex, mc_dst: MorseComplex, support) -> frozenset[int]:
     return mc_dst.gradient.flow_down(mc_src.gradient.expand(support))
 
@@ -69,7 +55,8 @@ def continuation_map(
     cx: CellComplex, f_minus: ScalarField, f_plus: ScalarField, X: HomologyClass
 ) -> HomologyClass:
     """Image of a class of the source field in the target field's complex."""
-    mc_minus, mc_plus = _pair(cx, f_minus, f_plus)
+    mc_minus = MorseComplex.from_field(cx, f_minus)
+    mc_plus = MorseComplex.from_field(cx, f_plus)
     _check_source_class(mc_minus, X)
     image = _transfer(mc_minus, mc_plus, X.support)
     return HomologyClass(X.grade, image, "morse", owner=mc_plus)
@@ -79,24 +66,20 @@ def functoriality_check(
     cx: CellComplex, f_a: ScalarField, f_b: ScalarField, f_c: ScalarField
 ) -> bool:
     """Composing a->b and b->c equals a->c on a full homology basis."""
-    mcs = {}
-    for name, fld in (("a", f_a), ("b", f_b), ("c", f_c)):
-        g = build_gradient(cx, fld)
-        mcs[name] = build_morse_complex(cx, fld, g)
-    basis_a = homology_basis(mcs["a"])
-    for classes in basis_a.values():
+    mc_a, mc_b, mc_c = (MorseComplex.from_field(cx, f) for f in (f_a, f_b, f_c))
+    for classes in homology_basis(mc_a).values():
         for X in classes:
-            direct = _transfer(mcs["a"], mcs["c"], X.support)
-            via_b = _transfer(mcs["a"], mcs["b"], X.support)
-            composed = _transfer(mcs["b"], mcs["c"], via_b)
-            if not same_class(mcs["c"], direct, composed):
+            direct = _transfer(mc_a, mc_c, X.support)
+            via_b = _transfer(mc_a, mc_b, X.support)
+            composed = _transfer(mc_b, mc_c, via_b)
+            if not same_class(mc_c, direct, composed):
                 return False
     return True
 
 
 def roundtrip_check(cx: CellComplex, f_a: ScalarField, f_b: ScalarField) -> bool:
     """Going a->b->a is the identity on a homology basis of the source."""
-    mc_a, mc_b = _pair(cx, f_a, f_b)
+    mc_a, mc_b = MorseComplex.from_field(cx, f_a), MorseComplex.from_field(cx, f_b)
     for classes in homology_basis(mc_a).values():
         for X in classes:
             there = _transfer(mc_a, mc_b, X.support)
@@ -140,5 +123,6 @@ def sandwich_check(
     true on every input; both bounds are attained when the fields differ by
     a constant.
     """
-    mc_minus, mc_plus = _pair(cx, f_minus, f_plus)
+    mc_minus = MorseComplex.from_field(cx, f_minus)
+    mc_plus = MorseComplex.from_field(cx, f_plus)
     return sandwich_built(mc_minus, mc_plus, X)

@@ -73,27 +73,16 @@ def kernel_basis(columns: list[int]) -> list[int]:
 
 
 def solve(columns: list[int], target: int) -> int | None:
-    """Combination mask expressing target as a XOR of columns, or None."""
-    ech: dict[int, tuple[int, int]] = {}
-    for j, col in enumerate(columns):
-        combo = 1 << j
-        while col:
-            p = col.bit_length() - 1
-            entry = ech.get(p)
-            if entry is None:
-                ech[p] = (col, combo)
-                break
-            col ^= entry[0]
-            combo ^= entry[1]
-    combo = 0
-    while target:
-        p = target.bit_length() - 1
-        entry = ech.get(p)
-        if entry is None:
-            return None
-        target ^= entry[0]
-        combo ^= entry[1]
-    return combo
+    """Combination mask expressing target as a XOR of columns, or None.
+
+    Target is appended as a last column: it is in the span exactly when it
+    reduces to zero, and its kernel mask then holds the combination.
+    """
+    n = len(columns)
+    kernel = kernel_basis([*columns, target])
+    if kernel and kernel[-1] >> n:
+        return kernel[-1] ^ (1 << n)
+    return None
 
 
 def from_bits(bits: Iterable[int]) -> int:

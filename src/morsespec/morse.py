@@ -302,6 +302,17 @@ class MorseComplex:
         }
         self._echelon: dict[int, dict[int, int]] = {}
 
+    @classmethod
+    def from_field(
+        cls, cx: CellComplex, fld: ScalarField, tie_break: str = "id"
+    ) -> MorseComplex:
+        """Build the field's lower-star gradient and its Morse complex.
+
+        This is the one place that reduces a field's complex; every query
+        (spectral values, continuation, homology) then runs on the result.
+        """
+        return build_morse_complex(cx, fld, build_gradient(cx, fld, tie_break))
+
     def rank(self, grade: int) -> int:
         return len(self.grades.get(grade, []))
 

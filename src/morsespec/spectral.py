@@ -19,7 +19,7 @@ from . import gf2
 from .complex import CellComplex, ScalarField, c0_distance
 from .errors import ChainError, ComplexMismatchError, SpectrumMismatchError
 from .homology import HomologyClass, is_cycle as full_is_cycle
-from .morse import MorseComplex, build_gradient, build_morse_complex
+from .morse import MorseComplex
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,7 @@ def exhaustive_spectral_value(
     return best
 
 
-def evaluate_rho(
-    cx: CellComplex, fld: ScalarField, Y: HomologyClass, tie_break: str = "id"
-) -> tuple[MorseComplex, SpectralReport]:
-    """Build the field's Morse data and evaluate Y through the projection."""
+def _check_full_class(cx: CellComplex, Y: HomologyClass) -> None:
     if Y.basis != "full":
         raise ChainError("expected a full-complex class")
     if Y.owner is not None and Y.owner is not cx:
@@ -132,11 +129,28 @@ def evaluate_rho(
         raise ChainError(f"support dimensions {sorted(dims)} do not match grade {Y.grade}")
     if not full_is_cycle(cx, Y.support):
         raise ChainError("representative is not a cycle")
-    gradient = build_gradient(cx, fld, tie_break)
-    mc = build_morse_complex(cx, fld, gradient)
-    xi = gradient.flow_down(Y.support)
-    Xm = HomologyClass(Y.grade, xi, "morse", owner=mc)
-    return mc, spectral_value(mc, Xm)
+
+
+def project_class(mc: MorseComplex, Y: HomologyClass) -> HomologyClass:
+    """The Morse class of a full-complex cycle: its flow onto critical cells."""
+    return HomologyClass(Y.grade, mc.gradient.flow_down(Y.support), "morse", owner=mc)
+
+
+def rho_built(mc: MorseComplex, Y: HomologyClass) -> SpectralReport:
+    """Spectral value of a full-complex cycle on an already-built Morse complex.
+
+    Y is taken as a valid cycle of ``mc.complex``; ``evaluate_rho`` checks it.
+    """
+    return spectral_value(mc, project_class(mc, Y))
+
+
+def evaluate_rho(
+    cx: CellComplex, fld: ScalarField, Y: HomologyClass, tie_break: str = "id"
+) -> tuple[MorseComplex, SpectralReport]:
+    """Check Y, build the field's Morse data and evaluate Y through the projection."""
+    _check_full_class(cx, Y)
+    mc = MorseComplex.from_field(cx, fld, tie_break)
+    return mc, rho_built(mc, Y)
 
 
 def rho(
@@ -162,13 +176,22 @@ class LipschitzReport:
         return {"lhs": self.lhs, "rhs": self.rhs, "pass": self.passed}
 
 
+def lipschitz_report(
+    f1: ScalarField, f2: ScalarField, sigma1: float, sigma2: float
+) -> LipschitzReport:
+    """Compare |sigma1 - sigma2| against the sup distance of the fields."""
+    lhs = abs(sigma1 - sigma2)
+    rhs = c0_distance(f1, f2)
+    return LipschitzReport(lhs, rhs, lhs <= rhs)
+
+
 def lipschitz_check(
     cx: CellComplex, f1: ScalarField, f2: ScalarField, Y: HomologyClass
 ) -> LipschitzReport:
     """Compare |rho(f1) - rho(f2)| against the sup distance of the fields."""
-    lhs = abs(rho(cx, f1, Y).sigma - rho(cx, f2, Y).sigma)
-    rhs = c0_distance(f1, f2)
-    return LipschitzReport(lhs, rhs, lhs <= rhs)
+    _check_full_class(cx, Y)
+    s1, s2 = (rho_built(MorseComplex.from_field(cx, f), Y).sigma for f in (f1, f2))
+    return lipschitz_report(f1, f2, s1, s2)
 
 
 def spectrum_membership(cx: CellComplex, fld: ScalarField, Y: HomologyClass) -> bool:
@@ -202,14 +225,15 @@ def invariance_sweep(cx: CellComplex, family, Y: HomologyClass) -> SweepResult:
     fields = list(family)
     if not fields:
         raise ChainError("empty family")
+    _check_full_class(cx, Y)
     values = []
     spectra = []
     for fld in fields:
         if fld.complex is not cx:
             raise ComplexMismatchError("family field lives on a different complex")
-        mc, report = evaluate_rho(cx, fld, Y)
+        mc = MorseComplex.from_field(cx, fld)
         spectra.append(tuple(spectrum(mc)))
-        values.append(report.sigma)
+        values.append(rho_built(mc, Y).sigma)
     for i, sp in enumerate(spectra[1:], start=1):
         if sp != spectra[0]:
             raise SpectrumMismatchError(

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from morsespec import morse
 from morsespec.cli import main
 
 
@@ -107,6 +112,10 @@ def test_compare_requires_fields_or_trials(capsys):
     code, _, err = run_cli(capsys, "compare", "--complex", "torus:3:3")
     assert code == 2
     assert "field-a" in json.loads(err)["error"]
+    code, out, err = run_cli(capsys, "compare", "--complex", "torus:3:3", "--trials", "-2")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert "--trials" in error and "-2" in error
 
 
 def test_sweep_translate_constant(capsys):
@@ -271,3 +280,66 @@ def test_json_file_written_and_inputs_echo(capsys, tmp_path):
     assert on_disk == rep
     assert on_disk["inputs"]["complex"] == "torus:3:3"
     assert on_disk["inputs"]["field"] == "expr:random:2"
+
+
+def test_doublings_below_one_rejected(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "bounds", "chain", "--delta", "0.5", "--d0", "0.1", "--d1", "0.2",
+        "--d2", "0.05", "--sigma", "1", "--convergence", "--doublings", "0",
+    )
+    assert code == 2 and out == ""
+    assert "--doublings" in json.loads(err)["error"]
+
+
+def test_closed_stdout_exits_141_quietly():
+    # The report (about 370 kB) is larger than a pipe buffer, so the writer
+    # is still blocked on the pipe when the reader goes away.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "morsespec.cli", "homology",
+         "--complex", "torus:64:64", "--field", "expr:random:1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
+
+
+def test_one_gradient_build_per_field(capsys, monkeypatch):
+    real = morse.build_gradient
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    # Replace every reference, so no module can build around the count.
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("morsespec"):
+            for attr, obj in list(vars(mod).items()):
+                if obj is real:
+                    monkeypatch.setattr(mod, attr, counting)
+
+    def builds(*argv):
+        calls.clear()
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        return len(calls)
+
+    assert builds(
+        "spectral", "--complex", "torus:6:6", "--field", "expr:random:1", "--class", "all"
+    ) == 1
+    assert builds(
+        "compare", "--complex", "torus:6:6",
+        "--field-a", "expr:random:1", "--field-b", "expr:random:2",
+    ) == 2
+    assert builds("compare", "--complex", "torus:6:6", "--trials", "3") == 6
+    assert builds(
+        "sweep", "--complex", "torus:6:6", "--field", "expr:random:1",
+        "--family", "translate:4", "--class", "all",
+    ) == 4
