@@ -176,7 +176,8 @@ def chained_bound(p: BoundParams, n_steps: int) -> float:
     When sigma_minus >= b this is exactly the N-fold chain of per_step_bound
     with delta0' = 2*delta0/N and delta1' = 2*delta1/N, which is the affine
     map sigma -> a*sigma + b.  Otherwise it is the iteration_bound majorant
-    of that chain, started from max(sigma_minus, b).
+    of that chain, started from max(sigma_minus, b).  A b that overflows
+    binary64 raises OverflowError.
     """
     if n_steps < 1 or int(n_steps) != n_steps:
         raise BoundsDomainError(f"n_steps must be a positive integer, got {n_steps!r}")
@@ -194,6 +195,8 @@ def chained_bound(p: BoundParams, n_steps: int) -> float:
     )
     if beta == 0.0:
         return max(p.sigma_minus, 0.0)
+    if not math.isfinite(beta):
+        raise OverflowError(f"the per-step increment overflows at n_steps = {n}")
     return iteration_bound(p.sigma_minus, alpha, beta, n)
 
 

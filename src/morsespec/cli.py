@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -43,14 +45,14 @@ from .homology import HomologyClass
 
 
 def _parse_complex(spec: str) -> CellComplex:
-    if spec.startswith("torus:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise MorsespecError(f"bad complex spec {spec!r}; want torus:NX:NY")
-        return build_torus_grid(int(parts[1]), int(parts[2]))
     if spec.startswith("file:"):
         return load_simplicial(spec[5:])
-    raise MorsespecError(f"bad complex spec {spec!r}; want torus:NX:NY or file:PATH")
+    m = re.fullmatch(r"torus:([0-9]+):([0-9]+)", spec)
+    if not m:
+        raise MorsespecError(
+            f"bad complex spec {spec!r}; want torus:NX:NY with integers NX, NY or file:PATH"
+        )
+    return build_torus_grid(int(m[1]), int(m[2]))
 
 
 def _parse_field(spec: str, cx: CellComplex):
@@ -68,39 +70,53 @@ def _resolve_classes(cx: CellComplex, selector: str) -> list[tuple[str, Homology
         if not fullh.is_cycle(cx, top):
             raise MorsespecError("complex has no fundamental cycle (not closed)")
         return [("fundamental", HomologyClass(cx.top_dim, top, "full", owner=cx))]
+    m = re.fullmatch(r"grade:([0-9]+):index:([0-9]+)", selector)
+    if selector != "all" and not m:
+        raise MorsespecError(
+            f"bad class selector {selector!r}; want point, fundamental, all "
+            "or grade:K:index:I with integers K, I >= 0"
+        )
+    labelled = {
+        f"grade:{k}:index:{i}": h
+        for k, classes in sorted(fullh.homology_basis(cx).items())
+        for i, h in enumerate(classes)
+    }
     if selector == "all":
-        out = []
-        for k, classes in sorted(fullh.homology_basis(cx).items()):
-            for i, h in enumerate(classes):
-                out.append((f"grade:{k}:index:{i}", h))
-        return out
-    if selector.startswith("grade:"):
-        parts = selector.split(":")
-        if len(parts) != 4 or parts[2] != "index":
-            raise MorsespecError(f"bad class selector {selector!r}")
-        k, i = int(parts[1]), int(parts[3])
-        basis = fullh.homology_basis(cx).get(k, [])
-        if i >= len(basis):
-            raise MorsespecError(f"grade {k} has only {len(basis)} classes")
-        return [(selector, basis[i])]
-    raise MorsespecError(f"unknown class selector {selector!r}")
+        return list(labelled.items())
+    k, i = int(m[1]), int(m[2])
+    label = f"grade:{k}:index:{i}"
+    if label not in labelled:
+        n = sum(key.startswith(f"grade:{k}:") for key in labelled)
+        raise MorsespecError(f"class selector {selector!r}: grade {k} has only {n} classes")
+    return [(label, labelled[label])]
 
 
 def _emit(report: dict, json_path: str | None) -> None:
-    text = json.dumps(report, indent=2)
+    text = json.dumps(report, indent=2, allow_nan=False)
     print(text)
     if json_path:
         Path(json_path).write_text(text + "\n")
 
 
-def _report(command, inputs, results, passed, failed, seed) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "pass_counts": {"passed": passed, "failed": failed},
-        "seed": seed,
-    }
+def _echo(args, *names: str) -> dict:
+    """The named flag values, in the given order, for a report's ``inputs``."""
+    return {name: getattr(args, "cls" if name == "class" else name) for name in names}
+
+
+def _finish(args, inputs: dict, results, passed: int, failed: int) -> int:
+    """Emit the command's report and return its exit code."""
+    command = args.cmd if args.cmd != "bounds" else f"bounds {args.bounds_cmd}"
+    _emit(
+        {
+            "command": command,
+            "inputs": inputs,
+            "results": results,
+            "pass_counts": {"passed": passed, "failed": failed},
+            "seed": args.seed,
+        },
+        args.json,
+    )
+    return 0 if failed == 0 else 1
 
 
 # ------------------------------------------------------------------- commands
@@ -117,16 +133,7 @@ def _cmd_homology(args) -> int:
         "d_squared_zero": d2,
         "morse_complex": mc.to_json_dict(),
     }
-    report = _report(
-        "homology",
-        {"complex": args.complex, "field": args.field},
-        results,
-        int(d2),
-        int(not d2),
-        args.seed,
-    )
-    _emit(report, args.json)
-    return 0 if d2 else 1
+    return _finish(args, _echo(args, "complex", "field"), results, int(d2), int(not d2))
 
 
 def _cmd_spectral(args) -> int:
@@ -149,67 +156,36 @@ def _cmd_spectral(args) -> int:
         passed += int(ok)
         failed += int(not ok)
         results.append(entry)
-    report = _report(
-        "spectral",
-        {"complex": args.complex, "field": args.field, "class": args.cls},
-        results,
-        passed,
-        failed,
-        args.seed,
-    )
-    _emit(report, args.json)
-    return 0 if failed == 0 else 1
+    return _finish(args, _echo(args, "complex", "field", "class"), results, passed, failed)
 
 
-def _compare_one(cx, fa, fb, classes, results):
-    passed = failed = 0
+def _compare_one(cx, fa, fb, classes) -> list[dict]:
     mc_minus = morse.MorseComplex.from_field(cx, fa)
     mc_plus = morse.MorseComplex.from_field(cx, fb)
+    results = []
     for label, Y in classes:
         rep = sandwich_built(mc_minus, mc_plus, spectral.project_class(mc_minus, Y))
         results.append({"class": label, **rep.to_json_dict()})
-        passed += int(rep.passed)
-        failed += int(not rep.passed)
-    return passed, failed
+    return results
 
 
 def _cmd_compare(args) -> int:
     cx = _parse_complex(args.complex)
     classes = _resolve_classes(cx, args.cls)
-    results: list[dict] = []
-    passed = failed = 0
     if args.trials < 0:
         raise MorsespecError(f"--trials must be >= 0, got {args.trials}")
     if args.trials > 0:
         rng = random.Random(args.seed)
-        for _ in range(args.trials):
-            fa = random_field(cx, rng)
-            fb = random_field(cx, rng)
-            p, f = _compare_one(cx, fa, fb, classes, results)
-            passed += p
-            failed += f
+        # A generator: only one field pair is alive at a time.
+        pairs = ((random_field(cx, rng), random_field(cx, rng)) for _ in range(args.trials))
+    elif args.field_a and args.field_b:
+        pairs = [(_parse_field(args.field_a, cx), _parse_field(args.field_b, cx))]
     else:
-        if not args.field_a or not args.field_b:
-            raise MorsespecError("compare needs --field-a and --field-b, or --trials")
-        fa = _parse_field(args.field_a, cx)
-        fb = _parse_field(args.field_b, cx)
-        passed, failed = _compare_one(cx, fa, fb, classes, results)
-    report = _report(
-        "compare",
-        {
-            "complex": args.complex,
-            "field_a": args.field_a,
-            "field_b": args.field_b,
-            "class": args.cls,
-            "trials": args.trials,
-        },
-        results,
-        passed,
-        failed,
-        args.seed,
-    )
-    _emit(report, args.json)
-    return 0 if failed == 0 else 1
+        raise MorsespecError("compare needs --field-a and --field-b, or --trials")
+    results = [entry for fa, fb in pairs for entry in _compare_one(cx, fa, fb, classes)]
+    passed = sum(entry["pass"] for entry in results)
+    inputs = _echo(args, "complex", "field_a", "field_b", "class", "trials")
+    return _finish(args, inputs, results, passed, len(results) - passed)
 
 
 def _family_fields(args, cx, base):
@@ -245,7 +221,12 @@ def _family_fields(args, cx, base):
 def _cmd_sweep(args) -> int:
     cx = _parse_complex(args.complex)
     base = _parse_field(args.field, cx)
-    family = _family_fields(args, cx, base)
+    try:
+        family = _family_fields(args, cx, base)
+    except ValueError as e:
+        raise MorsespecError(f"bad --family {args.family!r}: {e}") from None
+    if not family:
+        raise MorsespecError(f"--family {args.family!r} has no fields; STEPS must be >= 1")
     classes = _resolve_classes(cx, args.cls)
     mcs = [morse.MorseComplex.from_field(cx, fld) for fld in family]
     spectra = [spectral.spectrum(mc) for mc in mcs]
@@ -274,107 +255,70 @@ def _cmd_sweep(args) -> int:
                 "constant": constant,
             }
         )
-    report = _report(
-        "sweep",
-        {
-            "complex": args.complex,
-            "field": args.field,
-            "family": args.family,
-            "class": args.cls,
-        },
-        results,
-        passed,
-        failed,
-        args.seed,
-    )
-    _emit(report, args.json)
-    return 0 if failed == 0 else 1
+    inputs = _echo(args, "complex", "field", "family", "class")
+    return _finish(args, inputs, results, passed, failed)
+
+
+def _finite(value) -> bool:
+    """Whether every number in a nested report value is finite."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return math.isfinite(value)
 
 
 def _cmd_bounds(args) -> int:
     sub = args.bounds_cmd
-    failed = 0
-    if sub == "iterate":
-        inputs = {"x0": args.x0, "alpha": args.alpha, "beta": args.beta, "n": args.n}
-        results = {
-            "value": bnd.iteration_bound(args.x0, args.alpha, args.beta, args.n),
-            "precondition_ok": True,
-            "oracle": bnd.iteration_oracle(args.x0, args.alpha, args.beta, args.n),
-        }
-    elif sub == "eta":
-        inputs = {"action": args.action, "delta": args.delta, "kappa": args.kappa}
-        results = {
-            "value": bnd.eta_bound(args.action, args.delta, args.kappa),
-            "precondition_ok": True,
-        }
-    elif sub in ("step", "chain", "limit"):
-        inputs = {
-            "delta": args.delta,
-            "d0": args.d0,
-            "d1": args.d1,
-            "d2": args.d2,
-            "sigma": args.sigma,
-        }
-        p = bnd.BoundParams(args.delta, args.d0, args.d1, args.d2, args.sigma)
-        if sub == "step":
-            results = {
-                "value": bnd.per_step_bound(p),
-                "precondition_ok": True,
-                "threshold": bnd.step_threshold(args.delta),
-            }
-        elif sub == "chain":
-            if args.doublings < 1:
-                raise MorsespecError(f"--doublings must be >= 1, got {args.doublings}")
-            n = args.n_steps if args.n_steps else bnd.min_steps(args.delta, args.d1)
-            inputs["n_steps"] = n
-            results = {
-                "value": bnd.chained_bound(p, n),
-                "precondition_ok": True,
-                "min_steps": bnd.min_steps(args.delta, args.d1),
-            }
-            if args.convergence:
-                limit = bnd.adiabatic_limit_bound(p)
-                table = []
-                m, prev_gap, monotone = n, None, True
-                for _ in range(args.doublings):
-                    val = bnd.chained_bound(p, m)
-                    gap = abs(val - limit)
-                    if prev_gap is not None and gap > prev_gap:
-                        monotone = False
-                    table.append({"n": m, "value": val, "gap": gap})
-                    prev_gap = gap
-                    m *= 2
-                results["limit"] = limit
-                results["doubling_table"] = table
-                results["gap_monotone"] = monotone
-                failed = int(not monotone)
+    extra, failed = {}, 0
+    try:
+        if sub == "iterate":
+            inputs = _echo(args, "x0", "alpha", "beta", "n")
+            value = bnd.iteration_bound(args.x0, args.alpha, args.beta, args.n)
+            extra["oracle"] = bnd.iteration_oracle(args.x0, args.alpha, args.beta, args.n)
+        elif sub == "eta":
+            inputs = _echo(args, "action", "delta", "kappa")
+            value = bnd.eta_bound(args.action, args.delta, args.kappa)
+        elif sub in ("step", "chain", "limit"):
+            inputs = _echo(args, "delta", "d0", "d1", "d2", "sigma")
+            p = bnd.BoundParams(args.delta, args.d0, args.d1, args.d2, args.sigma)
+            if sub == "step":
+                value = bnd.per_step_bound(p)
+                extra["threshold"] = bnd.step_threshold(args.delta)
+            elif sub == "chain":
+                if args.doublings < 1:
+                    raise MorsespecError(f"--doublings must be >= 1, got {args.doublings}")
+                n = args.n_steps if args.n_steps else bnd.min_steps(args.delta, args.d1)
+                inputs["n_steps"] = n
+                value = bnd.chained_bound(p, n)
+                extra["min_steps"] = bnd.min_steps(args.delta, args.d1)
+                if args.convergence:
+                    limit = bnd.adiabatic_limit_bound(p)
+                    table = []
+                    for m in (n * 2**j for j in range(args.doublings)):
+                        val = bnd.chained_bound(p, m)
+                        table.append({"n": m, "value": val, "gap": abs(val - limit)})
+                    monotone = all(b["gap"] <= a["gap"] for a, b in zip(table, table[1:]))
+                    extra["limit"] = limit
+                    extra["doubling_table"] = table
+                    extra["gap_monotone"] = monotone
+                    failed = int(not monotone)
+            else:
+                inputs["statement_variant"] = args.statement_variant
+                value = bnd.adiabatic_limit_bound(p, statement_variant=args.statement_variant)
         else:
-            inputs["statement_variant"] = args.statement_variant
-            results = {
-                "value": bnd.adiabatic_limit_bound(
-                    p, statement_variant=args.statement_variant
-                ),
-                "precondition_ok": True,
-            }
-    elif sub == "corollary":
-        inputs = {
-            "sigma": args.sigma,
-            "norm_plus": args.norm_plus,
-            "norm_minus": args.norm_minus,
-            "norm_diff": args.norm_diff,
-            "delta": args.delta,
-        }
-        results = {
-            "value": bnd.corollary_bound(
+            inputs = _echo(args, "sigma", "norm_plus", "norm_minus", "norm_diff", "delta")
+            value = bnd.corollary_bound(
                 args.sigma, args.norm_plus, args.norm_minus, args.norm_diff, args.delta
-            ),
-            "precondition_ok": True,
-        }
-    else:  # pragma: no cover - argparse enforces choices
-        raise MorsespecError(f"unknown bounds subcommand {sub!r}")
-    report = _report(f"bounds {sub}", inputs, results, 1 - failed, failed, args.seed)
-    _emit(report, args.json)
-    return 0 if failed == 0 else 1
+            )
+        results = {"value": value, "precondition_ok": True, **extra}
+    except OverflowError:
+        results = None
+    # binary64 overflow surfaces as OverflowError (math.exp, **) or as inf/nan.
+    if results is None or not _finite(results):
+        given = ", ".join(f"{k}={v}" for k, v in inputs.items())
+        raise MorsespecError(f"bounds {sub} overflows binary64 at {given}")
+    return _finish(args, inputs, results, 1 - failed, failed)
 
 
 # --------------------------------------------------------------------- parser
@@ -383,58 +327,52 @@ def _cmd_bounds(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="morsespec", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--json", default=None, help="also write the report here")
 
-    def common(p, with_field=True):
+    def command(name, help, with_field=True, with_class=True):
+        p = sub.add_parser(name, parents=[shared], help=help)
         p.add_argument("--complex", required=True, help="torus:NX:NY or file:PATH")
         if with_field:
             p.add_argument("--field", required=True, help="value file path or expr:NAME")
-        p.add_argument("--class", dest="cls", default="all",
-                       help="point | fundamental | grade:K:index:I | all")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", default=None, help="also write the report here")
+        if with_class:
+            p.add_argument("--class", dest="cls", default="all",
+                           help="point | fundamental | grade:K:index:I | all")
+        return p
 
-    p = sub.add_parser("homology", help="Betti numbers and critical-cell census")
-    common(p)
+    command("homology", "Betti numbers and critical-cell census", with_class=False)
 
-    p = sub.add_parser("spectral", help="spectral values of selected classes")
-    common(p)
+    p = command("spectral", "spectral values of selected classes")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against exhaustive coset enumeration")
 
-    p = sub.add_parser("compare", help="two-field continuation comparison")
-    common(p, with_field=False)
+    p = command("compare", "two-field continuation comparison", with_field=False)
     p.add_argument("--field-a", default=None)
     p.add_argument("--field-b", default=None)
     p.add_argument("--trials", type=int, default=0,
                    help="run this many random field pairs instead")
 
-    p = sub.add_parser("sweep", help="family sweeps: invariance and Lipschitz margins")
-    common(p)
+    p = command("sweep", "family sweeps: invariance and Lipschitz margins")
     p.add_argument("--family", required=True,
                    help="translate:STEPS | perturb:EPS_MAX:STEPS[:SEED] | constant:STEPS")
 
     pb = sub.add_parser("bounds", help="closed-form estimate arithmetic")
     bsub = pb.add_subparsers(dest="bounds_cmd", required=True)
 
-    def bounds_common(q):
-        q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--json", default=None)
-
-    q = bsub.add_parser("iterate")
+    q = bsub.add_parser("iterate", parents=[shared])
     q.add_argument("--x0", type=float, required=True)
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--beta", type=float, required=True)
     q.add_argument("--n", type=int, required=True)
-    bounds_common(q)
 
-    q = bsub.add_parser("eta")
+    q = bsub.add_parser("eta", parents=[shared])
     q.add_argument("--action", type=float, required=True)
     q.add_argument("--delta", type=float, required=True)
     q.add_argument("--kappa", type=float, default=0.0)
-    bounds_common(q)
 
     for name in ("step", "chain", "limit"):
-        q = bsub.add_parser(name)
+        q = bsub.add_parser(name, parents=[shared])
         q.add_argument("--delta", type=float, required=True)
         q.add_argument("--d0", type=float, default=0.0)
         q.add_argument("--d1", type=float, default=0.0)
@@ -446,15 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("--doublings", type=int, default=10)
         if name == "limit":
             q.add_argument("--statement-variant", action="store_true")
-        bounds_common(q)
 
-    q = bsub.add_parser("corollary")
+    q = bsub.add_parser("corollary", parents=[shared])
     q.add_argument("--sigma", type=float, required=True)
     q.add_argument("--norm-plus", type=float, required=True)
     q.add_argument("--norm-minus", type=float, required=True)
     q.add_argument("--norm-diff", type=float, required=True)
     q.add_argument("--delta", type=float, required=True)
-    bounds_common(q)
 
     return ap
 

@@ -23,11 +23,22 @@ def echelonize(columns: Iterable[int]) -> dict[int, int]:
     Returns a map pivot -> column. Columns that reduce to zero are dropped.
     """
     ech: dict[int, int] = {}
-    for col in columns:
-        col = reduce_vector(col, ech)
-        if col:
-            ech[pivot(col)] = col
+    extend(ech, columns)
     return ech
+
+
+def extend(ech: dict[int, int], vectors: Iterable[int]) -> list[int]:
+    """Reduce each vector against ech in turn and insert the nonzero results.
+
+    ech is updated in place; the inserted vectors are returned in input order.
+    """
+    added = []
+    for v in vectors:
+        v = reduce_vector(v, ech)
+        if v:
+            ech[pivot(v)] = v
+            added.append(v)
+    return added
 
 
 def reduce_vector(v: int, ech: dict[int, int]) -> int:

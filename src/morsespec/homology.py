@@ -26,13 +26,11 @@ class HomologyClass:
 
     ``basis`` is ``"full"`` for cycles over all cells of a CellComplex and
     ``"morse"`` for cycles over the critical cells of one Morse complex.
-    ``canonical`` marks representatives produced by minimax reduction.
     """
 
     grade: int
     support: frozenset[int]
     basis: str = "full"
-    canonical: bool = False
     owner: object = field(default=None, compare=False, repr=False)
 
     def __bool__(self) -> bool:
@@ -105,13 +103,10 @@ def homology_basis(cx: CellComplex) -> dict[int, list[HomologyClass]]:
             cycles = gf2.kernel_basis(boundary_columns(cx, d))
         bcols = boundary_columns(cx, d + 1, idx) if d < cx.top_dim else []
         ech = gf2.echelonize(bcols)
-        basis: list[HomologyClass] = []
-        for v in cycles:
-            v = gf2.reduce_vector(v, ech)
-            if v:
-                ech[gf2.pivot(v)] = v
-                basis.append(HomologyClass(d, idx.unmask(v), "full", owner=cx))
-        out[d] = basis
+        out[d] = [
+            HomologyClass(d, idx.unmask(v), "full", owner=cx)
+            for v in gf2.extend(ech, cycles)
+        ]
     return out
 
 

@@ -447,15 +447,10 @@ def homology_basis(mc: MorseComplex) -> dict[int, list[HomologyClass]]:
         else:
             cycles = gf2.kernel_basis(cols)
         ech = dict(mc.boundary_echelon(k))
-        basis: list[HomologyClass] = []
-        for v in cycles:
-            v = gf2.reduce_vector(v, ech)
-            if v:
-                ech[gf2.pivot(v)] = v
-                basis.append(
-                    HomologyClass(k, mc.unmask(k, v), "morse", owner=mc)
-                )
-        out[k] = basis
+        out[k] = [
+            HomologyClass(k, mc.unmask(k, v), "morse", owner=mc)
+            for v in gf2.extend(ech, cycles)
+        ]
     return out
 
 

@@ -21,6 +21,14 @@ def run_json(capsys, *argv):
     return code, json.loads(out) if out.strip() else None, err
 
 
+def bad_input(capsys, *argv):
+    """Run a command that must be refused; return its diagnostic message."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    return json.loads(err)["error"]
+
+
 def test_homology_torus(capsys):
     code, rep, _ = run_json(
         capsys, "homology", "--complex", "torus:4:4", "--field", "expr:random:7"
@@ -258,6 +266,43 @@ def test_input_errors_exit_2(capsys, tmp_path):
         "--class", "grade:5:index:0",
     )
     assert code == 2
+    for selector in ("grade:1:index:-1", "grade:1:index:x"):
+        error = bad_input(
+            capsys, "spectral", "--complex", "torus:3:3", "--field", "expr:random:1",
+            "--class", selector,
+        )
+        assert selector in error and "int()" not in error
+    error = bad_input(capsys, "homology", "--complex", "torus:a:4", "--field", "expr:bump")
+    assert "torus:a:4" in error and "int()" not in error
+    error = bad_input(
+        capsys, "sweep", "--complex", "torus:4:4", "--field", "expr:bump",
+        "--family", "translate:x",
+    )
+    assert "--family 'translate:x'" in error
+
+
+@pytest.mark.parametrize("family", ["translate:0", "perturb:0.1:0", "constant:0"])
+def test_empty_sweep_family_rejected(capsys, family):
+    error = bad_input(
+        capsys, "sweep", "--complex", "torus:4:4", "--field", "expr:bump", "--family", family
+    )
+    assert f"--family {family!r}" in error
+
+
+@pytest.mark.parametrize("argv", [
+    "limit --delta 0.5 --d0 0 --d1 100 --d2 0 --sigma 1",
+    "corollary --sigma 1 --norm-plus 0 --norm-minus 0 --norm-diff 1000 --delta 0.5",
+    "iterate --x0 1 --alpha 1e10 --beta 1 --n 100",
+    "limit --delta 0.5 --d0 0 --d1 44 --d2 0 --sigma 1e300",
+    "step --delta 0.5 --d0 1e308 --d1 0.001 --sigma 1",
+    "chain --delta 0.5 --d0 1e308 --sigma 1 --n-steps 1",
+])
+def test_bounds_overflow_exits_2(capsys, argv):
+    sub, *flags = argv.split()
+    error = bad_input(capsys, "bounds", sub, *flags)
+    assert error.startswith(f"bounds {sub} overflows binary64 at ")
+    for flag in flags[::2]:
+        assert flag[2:].replace("-", "_") + "=" in error
 
 
 def test_determinism_under_seed(capsys):
@@ -343,3 +388,31 @@ def test_one_gradient_build_per_field(capsys, monkeypatch):
         "sweep", "--complex", "torus:6:6", "--field", "expr:random:1",
         "--family", "translate:4", "--class", "all",
     ) == 4
+
+
+README_INPUTS = {
+    "homology": ["complex", "field"],
+    "spectral": ["complex", "field", "class"],
+    "compare": ["complex", "field_a", "field_b", "class", "trials"],
+    "sweep": ["complex", "field", "family", "class"],
+    "bounds iterate": ["x0", "alpha", "beta", "n"],
+    "bounds step": ["delta", "d0", "d1", "d2", "sigma"],
+    "bounds chain": ["delta", "d0", "d1", "d2", "sigma", "n_steps"],
+    "bounds limit": ["delta", "d0", "d1", "d2", "sigma", "statement_variant"],
+}
+
+
+def test_readme_commands(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("morsespec ")]
+    assert len(commands) == 9
+    # The dyadic grids of test_compare_fields_and_trials.
+    (tmp_path / "a.csv").write_text("0,0.25,0.5\n0.125,0.375,0.625\n0.75,0.875,1.0\n")
+    (tmp_path / "b.csv").write_text("0.5,0.75,1.0\n0.625,0.875,1.125\n1.25,1.375,1.5\n")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, rep, _ = run_json(capsys, *argv)
+        assert code == 0, argv
+        assert list(rep) == ["command", "inputs", "results", "pass_counts", "seed"]
+        assert list(rep["inputs"]) == README_INPUTS[rep["command"]], argv
