@@ -234,7 +234,7 @@ def _cmd_sweep(args) -> int:
     passed = failed = 0
     results: list[dict] = []
     for label, Y in classes:
-        values = [spectral.rho_built(mc, Y).sigma for mc in mcs]
+        values = [spectral.rho(mc, Y).sigma for mc in mcs]
         checks = [
             spectral.lipschitz_report(fa, fb, va, vb)
             for fa, fb, va, vb in zip(family, family[1:], values, values[1:])
@@ -268,11 +268,17 @@ def _finite(value) -> bool:
     return math.isfinite(value)
 
 
+# ``bounds iterate`` runs its oracle step by step: 10^7 steps take seconds.
+MAX_ITERATE_N = 10_000_000
+
+
 def _cmd_bounds(args) -> int:
     sub = args.bounds_cmd
     extra, failed = {}, 0
     try:
         if sub == "iterate":
+            if args.n > MAX_ITERATE_N:
+                raise MorsespecError(f"--n must be <= {MAX_ITERATE_N}, got {args.n}")
             inputs = _echo(args, "x0", "alpha", "beta", "n")
             value = bnd.iteration_bound(args.x0, args.alpha, args.beta, args.n)
             extra["oracle"] = bnd.iteration_oracle(args.x0, args.alpha, args.beta, args.n)
@@ -324,8 +330,15 @@ def _cmd_bounds(args) -> int:
 # --------------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad flags as bad input (exit 2, one JSON line), not as usage text."""
+
+    def error(self, message):
+        raise MorsespecError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="morsespec", description=__doc__.splitlines()[0])
+    ap = _Parser(prog="morsespec", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=0)
@@ -405,8 +418,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _DISPATCH[args.cmd](args)
     except BrokenPipeError:
         # Silence the interpreter's final flush of the dead pipe.

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complex import CellComplex, ScalarField
 from .errors import ChainError
 from .homology import HomologyClass
-from .morse import MorseComplex, homology_basis, same_class
+from .morse import MorseComplex, check_one_complex, homology_basis, same_class
+from .spectral import spectral_value
 
 
 @dataclass(frozen=True)
@@ -52,21 +52,20 @@ def _check_source_class(mc: MorseComplex, X: HomologyClass) -> None:
 
 
 def continuation_map(
-    cx: CellComplex, f_minus: ScalarField, f_plus: ScalarField, X: HomologyClass
+    mc_minus: MorseComplex, mc_plus: MorseComplex, X: HomologyClass
 ) -> HomologyClass:
     """Image of a class of the source field in the target field's complex."""
-    mc_minus = MorseComplex.from_field(cx, f_minus)
-    mc_plus = MorseComplex.from_field(cx, f_plus)
+    check_one_complex(mc_minus, mc_plus)
     _check_source_class(mc_minus, X)
     image = _transfer(mc_minus, mc_plus, X.support)
     return HomologyClass(X.grade, image, "morse", owner=mc_plus)
 
 
 def functoriality_check(
-    cx: CellComplex, f_a: ScalarField, f_b: ScalarField, f_c: ScalarField
+    mc_a: MorseComplex, mc_b: MorseComplex, mc_c: MorseComplex
 ) -> bool:
     """Composing a->b and b->c equals a->c on a full homology basis."""
-    mc_a, mc_b, mc_c = (MorseComplex.from_field(cx, f) for f in (f_a, f_b, f_c))
+    check_one_complex(mc_a, mc_b, mc_c)
     for classes in homology_basis(mc_a).values():
         for X in classes:
             direct = _transfer(mc_a, mc_c, X.support)
@@ -77,9 +76,9 @@ def functoriality_check(
     return True
 
 
-def roundtrip_check(cx: CellComplex, f_a: ScalarField, f_b: ScalarField) -> bool:
+def roundtrip_check(mc_a: MorseComplex, mc_b: MorseComplex) -> bool:
     """Going a->b->a is the identity on a homology basis of the source."""
-    mc_a, mc_b = MorseComplex.from_field(cx, f_a), MorseComplex.from_field(cx, f_b)
+    check_one_complex(mc_a, mc_b)
     for classes in homology_basis(mc_a).values():
         for X in classes:
             there = _transfer(mc_a, mc_b, X.support)
@@ -92,9 +91,14 @@ def roundtrip_check(cx: CellComplex, f_a: ScalarField, f_b: ScalarField) -> bool
 def sandwich_built(
     mc_minus: MorseComplex, mc_plus: MorseComplex, X: HomologyClass
 ) -> ContinuationReport:
-    """Sandwich evaluation on already-built Morse complexes of one complex."""
-    from .spectral import spectral_value  # local import to avoid a cycle
+    """Evaluate the two-sided bound on the spectral-value shift of X.
 
+    X is a class of ``mc_minus``; both Morse complexes must live on one cell
+    complex.  The inequality is exact in this model, so ``passed`` is
+    expected to be true on every input; both bounds are attained when the
+    fields differ by a constant.
+    """
+    check_one_complex(mc_minus, mc_plus)
     _check_source_class(mc_minus, X)
     source = spectral_value(
         mc_minus, HomologyClass(X.grade, X.support, "morse", owner=mc_minus)
@@ -112,17 +116,3 @@ def sandwich_built(
     return ContinuationReport(
         source.sigma, target.sigma, lower, upper, lower <= shift <= upper
     )
-
-
-def sandwich_check(
-    cx: CellComplex, f_minus: ScalarField, f_plus: ScalarField, X: HomologyClass
-) -> ContinuationReport:
-    """Evaluate the two-sided bound on the spectral-value shift of X.
-
-    The inequality is exact in this model, so ``passed`` is expected to be
-    true on every input; both bounds are attained when the fields differ by
-    a constant.
-    """
-    mc_minus = MorseComplex.from_field(cx, f_minus)
-    mc_plus = MorseComplex.from_field(cx, f_plus)
-    return sandwich_built(mc_minus, mc_plus, X)

@@ -8,12 +8,12 @@ by a memoized traversal of the matching digraph, never by enumerating paths.
 
 Two linear maps connect the Morse complex with the full complex:
 
-* ``flow_project`` pushes an arbitrary chain down along the matching until it
-  is supported on critical cells (replace a matched cell by the other faces
-  of its partner coface, iterate); it is a chain map.
-* ``flow_expand`` inflates a chain of critical cells by repeatedly cancelling
-  matched cells from its boundary; the result is a chain in the full complex
-  whose boundary again expands the Morse boundary.
+* ``DiscreteGradient.flow_down`` pushes an arbitrary chain down along the
+  matching until it is supported on critical cells (replace a matched cell by
+  the other faces of its partner coface, iterate); it is a chain map.
+* ``DiscreteGradient.expand`` inflates a chain of critical cells by
+  repeatedly cancelling matched cells from its boundary; the result is a
+  chain in the full complex whose boundary again expands the Morse boundary.
 
 ``project(expand(x)) = x`` holds on the nose, which makes the two maps a
 deformation-retract style equivalence realizing the matching's homology
@@ -51,9 +51,6 @@ class DiscreteGradient:
 
     def __post_init__(self):
         self._phi: dict[int, object] = {}
-
-    def is_critical(self, cell_id: int) -> bool:
-        return cell_id in self.critical
 
     def vertex_key(self, v: int):
         val = self.field.vertex_values[v]
@@ -117,8 +114,15 @@ class DiscreteGradient:
         return memo[cell_id]
 
     def expand(self, support) -> frozenset[int]:
-        """Full-complex chain obtained by cancelling matched boundary cells."""
+        """Realize a chain of critical cells as a chain in the full complex.
+
+        Matched boundary cells are cancelled until none is left; the output
+        projects back to the input and its boundary expands the Morse one.
+        """
         chain = set(support)
+        stray = chain - self.critical
+        if stray:
+            raise ChainError(f"chain touches non-critical cells {sorted(stray)}")
         for _ in range(len(self.complex) + 1):
             bd: set[int] = set()
             for cid in chain:
@@ -410,6 +414,12 @@ def build_morse_complex(
     return mc
 
 
+def check_one_complex(*mcs: MorseComplex) -> None:
+    """Raise unless Morse complexes compared or mapped share one cell complex."""
+    if any(mc.complex is not mcs[0].complex for mc in mcs):
+        raise ComplexMismatchError("Morse complexes live on different cell complexes")
+
+
 def verify_d_squared(mc: MorseComplex) -> bool:
     """True iff boundary-of-boundary is zero in every grade."""
     for k, cols in mc.boundary.items():
@@ -464,21 +474,3 @@ def same_class(mc: MorseComplex, a, b) -> bool:
         return False
     (k,) = grade
     return gf2.in_span(mc.mask(k, diff), mc.boundary_echelon(k))
-
-
-def flow_expand(gradient: DiscreteGradient, chain) -> frozenset[int]:
-    """Realize a chain of critical cells as a chain in the full complex.
-
-    The output projects back to the input and its full boundary expands the
-    Morse boundary of the input.
-    """
-    support = frozenset(chain)
-    stray = [c for c in support if not gradient.is_critical(c)]
-    if stray:
-        raise ChainError(f"chain touches non-critical cells {sorted(stray)}")
-    return gradient.expand(support)
-
-
-def flow_project(gradient: DiscreteGradient, chain) -> frozenset[int]:
-    """Project a full-complex chain onto the critical cells."""
-    return gradient.flow_down(frozenset(chain))

@@ -19,7 +19,7 @@ from . import gf2
 from .complex import CellComplex, ScalarField, c0_distance
 from .errors import ChainError, ComplexMismatchError, SpectrumMismatchError
 from .homology import HomologyClass, is_cycle as full_is_cycle
-from .morse import MorseComplex
+from .morse import MorseComplex, check_one_complex
 
 
 @dataclass(frozen=True)
@@ -136,34 +136,17 @@ def project_class(mc: MorseComplex, Y: HomologyClass) -> HomologyClass:
     return HomologyClass(Y.grade, mc.gradient.flow_down(Y.support), "morse", owner=mc)
 
 
-def rho_built(mc: MorseComplex, Y: HomologyClass) -> SpectralReport:
-    """Spectral value of a full-complex cycle on an already-built Morse complex.
+def rho(mc: MorseComplex, Y: HomologyClass) -> SpectralReport:
+    """Spectral value of a fixed full-complex class under the field of ``mc``.
 
-    Y is taken as a valid cycle of ``mc.complex``; ``evaluate_rho`` checks it.
+    Y is checked against ``mc.complex``, then evaluated through its flow onto
+    the critical cells.  Defined directly for every field: the field's Morse
+    data always exists here, so no approximation by nearby generic fields is
+    needed; the 1-Lipschitz dependence on the field remains available as a
+    checkable property.
     """
+    _check_full_class(mc.complex, Y)
     return spectral_value(mc, project_class(mc, Y))
-
-
-def evaluate_rho(
-    cx: CellComplex, fld: ScalarField, Y: HomologyClass, tie_break: str = "id"
-) -> tuple[MorseComplex, SpectralReport]:
-    """Check Y, build the field's Morse data and evaluate Y through the projection."""
-    _check_full_class(cx, Y)
-    mc = MorseComplex.from_field(cx, fld, tie_break)
-    return mc, rho_built(mc, Y)
-
-
-def rho(
-    cx: CellComplex, fld: ScalarField, Y: HomologyClass, tie_break: str = "id"
-) -> SpectralReport:
-    """Spectral value of a fixed full-complex class under a given field.
-
-    Defined directly for every field: the field's Morse data always exists
-    here, so no approximation by nearby generic fields is needed; the
-    1-Lipschitz dependence on the field remains available as a checkable
-    property.
-    """
-    return evaluate_rho(cx, fld, Y, tie_break)[1]
 
 
 @dataclass(frozen=True)
@@ -186,18 +169,11 @@ def lipschitz_report(
 
 
 def lipschitz_check(
-    cx: CellComplex, f1: ScalarField, f2: ScalarField, Y: HomologyClass
+    mc1: MorseComplex, mc2: MorseComplex, Y: HomologyClass
 ) -> LipschitzReport:
     """Compare |rho(f1) - rho(f2)| against the sup distance of the fields."""
-    _check_full_class(cx, Y)
-    s1, s2 = (rho_built(MorseComplex.from_field(cx, f), Y).sigma for f in (f1, f2))
-    return lipschitz_report(f1, f2, s1, s2)
-
-
-def spectrum_membership(cx: CellComplex, fld: ScalarField, Y: HomologyClass) -> bool:
-    """Whether rho lands in the set of critical values of the field."""
-    mc, report = evaluate_rho(cx, fld, Y)
-    return report.sigma in set(spectrum(mc))
+    check_one_complex(mc1, mc2)
+    return lipschitz_report(mc1.field, mc2.field, rho(mc1, Y).sigma, rho(mc2, Y).sigma)
 
 
 @dataclass(frozen=True)
@@ -214,26 +190,20 @@ class SweepResult:
         }
 
 
-def invariance_sweep(cx: CellComplex, family, Y: HomologyClass) -> SweepResult:
-    """Evaluate rho across a family of fields sharing one spectrum.
+def invariance_sweep(mcs, Y: HomologyClass) -> SweepResult:
+    """Evaluate rho across the Morse complexes of a family sharing one spectrum.
 
-    The family is a finite list of fields on one complex; the shared-spectrum
-    hypothesis is verified and a mismatch raises SpectrumMismatchError.  The
-    verdict is meaningful when consecutive fields are close in sup norm
-    relative to the smallest spectral gap.
+    The family is a finite list of built Morse complexes of fields on one
+    complex; the shared-spectrum hypothesis is verified and a mismatch raises
+    SpectrumMismatchError.  The verdict is meaningful when consecutive fields
+    are close in sup norm relative to the smallest spectral gap.
     """
-    fields = list(family)
-    if not fields:
+    mcs = list(mcs)
+    if not mcs:
         raise ChainError("empty family")
-    _check_full_class(cx, Y)
-    values = []
-    spectra = []
-    for fld in fields:
-        if fld.complex is not cx:
-            raise ComplexMismatchError("family field lives on a different complex")
-        mc = MorseComplex.from_field(cx, fld)
-        spectra.append(tuple(spectrum(mc)))
-        values.append(rho_built(mc, Y).sigma)
+    check_one_complex(*mcs)
+    values = [rho(mc, Y).sigma for mc in mcs]
+    spectra = [tuple(spectrum(mc)) for mc in mcs]
     for i, sp in enumerate(spectra[1:], start=1):
         if sp != spectra[0]:
             raise SpectrumMismatchError(

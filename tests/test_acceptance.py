@@ -21,6 +21,7 @@ from conftest import (
 )
 from morsespec import (
     BoundParams,
+    MorseComplex,
     adiabatic_limit_bound,
     build_gradient,
     build_morse_complex,
@@ -36,6 +37,7 @@ from morsespec import (
     iteration_oracle,
     min_steps,
     per_step_bound,
+    rho,
     roundtrip_check,
     sandwich_built,
     spectral_value,
@@ -44,7 +46,6 @@ from morsespec import (
 )
 from morsespec.fields import translate_field
 from morsespec.homology import HomologyClass
-from morsespec.spectral import evaluate_rho
 
 
 def _check(label, ok, detail=""):
@@ -153,12 +154,11 @@ def test_criterion_05_extremal_classes():
     for cx in instances:
         for _ in range(3):
             fld = dyadic_field(cx, rng)
+            mc = MorseComplex.from_field(cx, fld)
             total += 1
-            if evaluate_rho(cx, fld, point_class(cx))[1].sigma != min(fld.vertex_values):
+            if rho(mc, point_class(cx)).sigma != min(fld.vertex_values):
                 bad += 1
-            if evaluate_rho(cx, fld, fundamental_class(cx))[1].sigma != max(
-                fld.vertex_values
-            ):
+            if rho(mc, fundamental_class(cx)).sigma != max(fld.vertex_values):
                 bad += 1
     _check(
         "criterion 5: sigma(point)=min f and sigma(fundamental)=max f",
@@ -242,7 +242,8 @@ def test_criterion_08_spectrum_membership():
         fld = dyadic_field(cx, rng)
         for k, classes in fullh.homology_basis(cx).items():
             for Y in classes:
-                mc, rep = evaluate_rho(cx, fld, Y)
+                mc = MorseComplex.from_field(cx, fld)
+                rep = rho(mc, Y)
                 total += 1
                 if rep.sigma not in set(spectrum(mc)):
                     bad += 1
@@ -262,10 +263,10 @@ def test_criterion_09_functoriality():
             if i % 3
             else tetra_boundary()
         )
-        fa, fb, fc = (dyadic_field(cx, rng) for _ in range(3))
-        if not functoriality_check(cx, fa, fb, fc):
+        mca, mcb, mcc = (_mc(cx, dyadic_field(cx, rng))[1] for _ in range(3))
+        if not functoriality_check(mca, mcb, mcc):
             bad += 1
-        if not roundtrip_check(cx, fa, fb):
+        if not roundtrip_check(mca, mcb):
             bad += 1
     _check(
         "criterion 9: functoriality and two-sided inverse over 100 triples",
@@ -282,8 +283,8 @@ def test_criterion_10_gradient_independence():
         instances += 1
         for k, classes in fullh.homology_basis(cx).items():
             for Y in classes:
-                a = evaluate_rho(cx, fld, Y, tie_break="id")[1].sigma
-                b = evaluate_rho(cx, fld, Y, tie_break="reverse-id")[1].sigma
+                a = rho(_mc(cx, fld, tie_break="id")[1], Y).sigma
+                b = rho(_mc(cx, fld, tie_break="reverse-id")[1], Y).sigma
                 if a != b:
                     bad += 1
     _check(
@@ -306,8 +307,9 @@ def test_criterion_11_invariance_translate_families():
             + fullh.homology_basis(cx)[1]
             + [fundamental_class(cx)]
         )
+        mcs = [_mc(cx, f)[1] for f in family]
         for Y in Ys:
-            if not invariance_sweep(cx, family, Y).constant:
+            if not invariance_sweep(mcs, Y).constant:
                 bad += 1
     _check("criterion 11: translate families give constant rho", bad == 0)
 

@@ -279,6 +279,31 @@ def test_input_errors_exit_2(capsys, tmp_path):
         "--family", "translate:x",
     )
     assert "--family 'translate:x'" in error
+    # Argparse-level refusals get the same one-line JSON diagnostic.
+    error = bad_input(
+        capsys, "homology", "--complex", "torus:3:3", "--field", "expr:bump", "--class", "all"
+    )
+    assert error == "morsespec: unrecognized arguments: --class all"
+    error = bad_input(capsys, "homology", "--complex", "torus:3:3")
+    assert error.startswith("morsespec homology: ") and "--field" in error
+    error = bad_input(capsys, "compare", "--complex", "torus:3:3", "--trials", "x")
+    assert error.startswith("morsespec compare: ") and "--trials" in error and "'x'" in error
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["homology", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: morsespec homology")
+
+
+def test_bounds_iterate_step_cap(capsys):
+    # Refused before the oracle loop starts, so this returns at once.
+    error = bad_input(
+        capsys, "bounds", "iterate", "--x0", "1", "--alpha", "1", "--beta", "1",
+        "--n", "10000001",
+    )
+    assert "--n" in error and "10000000" in error and "10000001" in error
 
 
 @pytest.mark.parametrize("family", ["translate:0", "perturb:0.1:0", "constant:0"])

@@ -6,18 +6,18 @@ import morsespec.gf2 as gf2
 import morsespec.homology as fullh
 from conftest import dyadic_field, shifted, tetra_boundary
 from morsespec import (
+    MorseComplex,
     build_gradient,
     build_morse_complex,
     build_torus_grid,
     continuation_map,
-    flow_expand,
     functoriality_check,
     homology_basis,
     roundtrip_check,
     same_class,
-    sandwich_check,
+    sandwich_built,
 )
-from morsespec.errors import ChainError
+from morsespec.errors import ChainError, ComplexMismatchError
 from morsespec.homology import HomologyClass
 
 
@@ -32,7 +32,7 @@ def test_identity_when_fields_agree():
     _, mc = pipeline(cx, fld)
     for k, classes in homology_basis(mc).items():
         for X in classes:
-            img = continuation_map(cx, fld, fld, X)
+            img = continuation_map(mc, MorseComplex.from_field(cx, fld), X)
             assert img.grade == k
             assert same_class(mc, X.support, img.support)
 
@@ -45,11 +45,11 @@ def test_point_and_fundamental_map_to_their_kind():
     ga, mca = pipeline(cx, fa)
     _, mcb = pipeline(cx, fb)
     point = HomologyClass(0, ga.flow_down({0}), "morse", owner=mca)
-    img = continuation_map(cx, fa, fb, point)
+    img = continuation_map(mca, mcb, point)
     assert img.grade == 0 and len(img.support) == 1
     top = frozenset(c.id for c in cx.cells if c.dim == 2)
     fund = HomologyClass(2, ga.flow_down(top), "morse", owner=mca)
-    img = continuation_map(cx, fa, fb, fund)
+    img = continuation_map(mca, mcb, fund)
     assert img.grade == 2
     # grade-2 classes on the torus are rank one: image must be the generator
     (gen,) = homology_basis(mcb)[2]
@@ -73,12 +73,12 @@ def test_grade_one_matrix_matches_full_complex_change_of_basis():
         def coords(chain):
             return fullh.class_coordinates(cx, 1, chain, full_basis)
 
-        A = [coords(flow_expand(ga, X.support)) for X in basis_a]
-        B = [coords(flow_expand(gb, X.support)) for X in basis_b]
+        A = [coords(ga.expand(X.support)) for X in basis_a]
+        B = [coords(gb.expand(X.support)) for X in basis_b]
         bcols = [sum(bit << i for i, bit in enumerate(v)) for v in B]
         # continuation matrix from the flow route, column per basis_a class
         for j, X in enumerate(basis_a):
-            img = continuation_map(cx, fa, fb, X)
+            img = continuation_map(mca, mcb, X)
             # coordinates of img in basis_b through the Morse complex
             cols = list(mcb.boundary.get(2, [])) + [
                 mcb.mask(1, Z.support) for Z in basis_b
@@ -99,14 +99,14 @@ def test_functoriality_trivial_and_random():
     rng = random.Random(43)
     cx = build_torus_grid(4, 4)
     f = dyadic_field(cx, rng)
-    assert functoriality_check(cx, f, f, f)
+    assert functoriality_check(*(MorseComplex.from_field(cx, g) for g in (f, f, f)))
     for _ in range(10):
         fa, fb, fc = (dyadic_field(cx, rng) for _ in range(3))
-        assert functoriality_check(cx, fa, fb, fc)
+        assert functoriality_check(*(MorseComplex.from_field(cx, g) for g in (fa, fb, fc)))
     tetra = tetra_boundary()
     for _ in range(10):
         fa, fb, fc = (dyadic_field(tetra, rng) for _ in range(3))
-        assert functoriality_check(tetra, fa, fb, fc)
+        assert functoriality_check(*(MorseComplex.from_field(tetra, g) for g in (fa, fb, fc)))
 
 
 def test_roundtrip_is_identity():
@@ -114,7 +114,7 @@ def test_roundtrip_is_identity():
     cx = build_torus_grid(3, 4)
     for _ in range(10):
         fa, fb = dyadic_field(cx, rng), dyadic_field(cx, rng)
-        assert roundtrip_check(cx, fa, fb)
+        assert roundtrip_check(MorseComplex.from_field(cx, fa), MorseComplex.from_field(cx, fb))
 
 
 def test_sandwich_identical_and_shift():
@@ -124,14 +124,14 @@ def test_sandwich_identical_and_shift():
     _, mc = pipeline(cx, fld)
     for k, classes in homology_basis(mc).items():
         for X in classes:
-            rep = sandwich_check(cx, fld, fld, X)
+            rep = sandwich_built(mc, MorseComplex.from_field(cx, fld), X)
             assert rep.passed
             assert rep.target_sigma - rep.source_sigma == 0.0
-            rep = sandwich_check(cx, fld, shifted(fld, 0.5), X)
+            rep = sandwich_built(mc, MorseComplex.from_field(cx, shifted(fld, 0.5)), X)
             assert rep.passed
             assert rep.lower == rep.upper == 0.5
             assert rep.target_sigma - rep.source_sigma == 0.5
-            rep = sandwich_check(cx, fld, shifted(fld, -1.25), X)
+            rep = sandwich_built(mc, MorseComplex.from_field(cx, shifted(fld, -1.25)), X)
             assert rep.lower == rep.upper == -1.25 and rep.passed
 
 
@@ -142,9 +142,9 @@ def test_sandwich_random_pairs():
     _, mc0 = pipeline(cx, f0)
     classes = [X for cl in homology_basis(mc0).values() for X in cl]
     for _ in range(50):
-        fb = dyadic_field(cx, rng)
+        mcb = MorseComplex.from_field(cx, dyadic_field(cx, rng))
         for X in classes:
-            assert sandwich_check(cx, f0, fb, X).passed
+            assert sandwich_built(mc0, mcb, X).passed
 
 
 def test_grade_preservation():
@@ -152,9 +152,10 @@ def test_grade_preservation():
     cx = build_torus_grid(3, 3)
     fa, fb = dyadic_field(cx, rng), dyadic_field(cx, rng)
     _, mca = pipeline(cx, fa)
+    _, mcb = pipeline(cx, fb)
     for k, classes in homology_basis(mca).items():
         for X in classes:
-            img = continuation_map(cx, fa, fb, X)
+            img = continuation_map(mca, mcb, X)
             assert img.grade == k
             dims = {cx.cells[c].dim for c in img.support}
             assert dims <= {k}
@@ -162,8 +163,24 @@ def test_grade_preservation():
 
 def test_zero_class_rejected():
     cx = build_torus_grid(3, 3)
-    fld = dyadic_field(cx, random.Random(48))
+    mc = MorseComplex.from_field(cx, dyadic_field(cx, random.Random(48)))
     with pytest.raises(ChainError):
-        continuation_map(
-            cx, fld, fld, HomologyClass(1, frozenset(), "morse", owner=None)
-        )
+        continuation_map(mc, mc, HomologyClass(1, frozenset(), "morse", owner=None))
+
+
+def test_complexes_of_different_cell_complexes_rejected():
+    # Two equal torus grids are still two CellComplex objects: no query may
+    # compare or map between their Morse complexes.
+    rng = random.Random(49)
+    cx1, cx2 = build_torus_grid(3, 3), build_torus_grid(3, 3)
+    mc1 = MorseComplex.from_field(cx1, dyadic_field(cx1, rng))
+    mc2 = MorseComplex.from_field(cx2, dyadic_field(cx2, rng))
+    (X,) = homology_basis(mc1)[0]
+    with pytest.raises(ComplexMismatchError):
+        sandwich_built(mc1, mc2, X)
+    with pytest.raises(ComplexMismatchError):
+        continuation_map(mc1, mc2, X)
+    with pytest.raises(ComplexMismatchError):
+        roundtrip_check(mc1, mc2)
+    with pytest.raises(ComplexMismatchError):
+        functoriality_check(mc1, mc1, mc2)

@@ -10,8 +10,6 @@ from morsespec import (
     build_morse_complex,
     build_torus_grid,
     check_order_decreasing,
-    flow_expand,
-    flow_project,
     homology_basis,
     make_field,
     same_class,
@@ -210,19 +208,19 @@ def test_project_expand_identity_and_chain_maps(corpus):
         basis = homology_basis(mc)
         for k, classes in basis.items():
             for X in classes:
-                e = flow_expand(g, X.support)
-                assert flow_project(g, e) == X.support
+                e = g.expand(X.support)
+                assert g.flow_down(e) == X.support
                 assert fullh.is_cycle(cx, e)
         # chain-map identities on random chains, every grade
         rng = random.Random(11)
         for d in range(cx.top_dim + 1):
             cells = [c.id for c in cx.cells_of_dim(d)]
             chain = frozenset(c for c in cells if rng.random() < 0.4)
-            lhs = flow_project(g, boundary_support(cx, chain))
+            lhs = g.flow_down(boundary_support(cx, chain))
             rhs = mc.unmask(
-                d - 1, mc.boundary_of(d, mc.mask(d, flow_project(g, chain)))
+                d - 1, mc.boundary_of(d, mc.mask(d, g.flow_down(chain)))
             ) if d - 1 in mc.grades else frozenset()
-            projected = flow_project(g, chain)
+            projected = g.flow_down(chain)
             if d in mc.grades:
                 assert lhs == (
                     mc.unmask(d - 1, mc.boundary_of(d, mc.mask(d, projected)))
@@ -242,14 +240,14 @@ def test_expand_is_chain_map_on_critical_chains(corpus):
             chain = frozenset(c for c in cells if rng.random() < 0.5)
             if not chain:
                 continue
-            e = flow_expand(g, chain)
+            e = g.expand(chain)
             bd_full = boundary_support(cx, e)
             bd_morse = (
                 mc.unmask(k - 1, mc.boundary_of(k, mc.mask(k, chain)))
                 if k - 1 in mc.grades
                 else frozenset()
             )
-            assert bd_full == flow_expand(g, bd_morse) if bd_morse else bd_full == frozenset()
+            assert bd_full == g.expand(bd_morse) if bd_morse else bd_full == frozenset()
 
 
 def test_expand_point_generator_is_single_vertex():
@@ -257,7 +255,7 @@ def test_expand_point_generator_is_single_vertex():
     fld = dyadic_field(cx, random.Random(13))
     g, mc = pipeline(cx, fld)
     (X,) = homology_basis(mc)[0]
-    e = flow_expand(g, X.support)
+    e = g.expand(X.support)
     assert len(e) == 1 and cx.cells[next(iter(e))].dim == 0
 
 
@@ -270,7 +268,7 @@ def test_expand_classes_generate_full_homology():
     basis = homology_basis(mc)
     full_basis = fullh.homology_basis(cx)
     for k, classes in basis.items():
-        expanded = [flow_expand(g, X.support) for X in classes]
+        expanded = [g.expand(X.support) for X in classes]
         coords = [
             fullh.class_coordinates(cx, k, e, full_basis[k]) for e in expanded
         ]
@@ -281,7 +279,7 @@ def test_expand_classes_generate_full_homology():
         assert gf2.rank(masks) == len(masks) == len(full_basis[k])
     for k, classes in full_basis.items():
         for Y in classes:
-            back = flow_expand(g, flow_project(g, Y.support))
+            back = g.expand(g.flow_down(Y.support))
             assert fullh.classes_equal(cx, k, back, Y.support)
 
 
@@ -291,7 +289,7 @@ def test_flow_expand_rejects_non_critical_support():
     g, _ = pipeline(cx, fld)
     non_crit = next(c for c in range(len(cx)) if c not in g.critical)
     with pytest.raises(ChainError):
-        flow_expand(g, frozenset({non_crit}))
+        g.expand(frozenset({non_crit}))
 
 
 def test_same_class_detects_boundaries():
@@ -337,15 +335,16 @@ def test_three_dimensional_complexes():
             assert check_order_decreasing(mc)
             assert mc.betti() == betti == fullh.betti_numbers(cx)
     # spectral sanity on the closed one: point min, top class max
-    from morsespec.spectral import evaluate_rho
+    from morsespec.spectral import rho
 
     fld = dyadic_field(sphere3, rng)
+    mc = MorseComplex.from_field(sphere3, fld)
     point = HomologyClass(0, frozenset({0}), "full", owner=sphere3)
     top = HomologyClass(
         3, frozenset(c.id for c in sphere3.cells if c.dim == 3), "full", owner=sphere3
     )
-    assert evaluate_rho(sphere3, fld, point)[1].sigma == min(fld.vertex_values)
-    assert evaluate_rho(sphere3, fld, top)[1].sigma == max(fld.vertex_values)
+    assert rho(mc, point).sigma == min(fld.vertex_values)
+    assert rho(mc, top).sigma == max(fld.vertex_values)
 
 
 def test_boundary_matches_literal_path_enumeration():
@@ -407,4 +406,4 @@ def test_expand_agrees_with_algebraic_flow_iteration():
                     if nxt == chain:
                         break
                     chain = nxt
-                assert chain == flow_expand(g, {a})
+                assert chain == g.expand({a})

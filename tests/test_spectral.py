@@ -7,6 +7,7 @@ import pytest
 import morsespec.homology as fullh
 from conftest import cycle_graph, dyadic_field, shifted, tetra_boundary
 from morsespec import (
+    MorseComplex,
     build_gradient,
     build_morse_complex,
     build_torus_grid,
@@ -21,10 +22,9 @@ from morsespec import (
     spectral_gap,
     spectral_value,
     spectrum,
-    spectrum_membership,
 )
 from morsespec.complex import torus_vertex_id
-from morsespec.errors import ChainError, SpectrumMismatchError
+from morsespec.errors import ChainError, ComplexMismatchError, SpectrumMismatchError
 from morsespec.fields import translate_field
 from morsespec.homology import HomologyClass
 
@@ -69,12 +69,14 @@ def test_sigma_point_is_min_fundamental_is_max():
     for _ in range(20):
         cx = build_torus_grid(rng.randint(3, 5), rng.randint(3, 5))
         fld = dyadic_field(cx, rng)
-        assert rho(cx, fld, point_class(cx)).sigma == min(fld.vertex_values)
-        assert rho(cx, fld, fundamental_class(cx)).sigma == max(fld.vertex_values)
+        mc = MorseComplex.from_field(cx, fld)
+        assert rho(mc, point_class(cx)).sigma == min(fld.vertex_values)
+        assert rho(mc, fundamental_class(cx)).sigma == max(fld.vertex_values)
     tetra = tetra_boundary()
     fld = dyadic_field(tetra, rng)
-    assert rho(tetra, fld, point_class(tetra)).sigma == min(fld.vertex_values)
-    assert rho(tetra, fld, fundamental_class(tetra)).sigma == max(fld.vertex_values)
+    mc = MorseComplex.from_field(tetra, fld)
+    assert rho(mc, point_class(tetra)).sigma == min(fld.vertex_values)
+    assert rho(mc, fundamental_class(tetra)).sigma == max(fld.vertex_values)
 
 
 def test_greedy_sigma_equals_coset_enumeration():
@@ -192,13 +194,13 @@ def test_spectral_gap_helper():
 
 def test_rho_twobump_matches_oracle():
     from morsespec.fields import twobump_field
-    from morsespec.spectral import evaluate_rho
 
     cx = build_torus_grid(4, 4)
     fld = twobump_field(cx)
     for k, classes in fullh.homology_basis(cx).items():
         for Y in classes:
-            mc, rep = evaluate_rho(cx, fld, Y)
+            mc = MorseComplex.from_field(cx, fld)
+            rep = rho(mc, Y)
             xi = mc.gradient.flow_down(Y.support)
             X = HomologyClass(k, xi, "morse", owner=mc)
             assert rep.sigma == exhaustive_spectral_value(mc, X)
@@ -206,12 +208,12 @@ def test_rho_twobump_matches_oracle():
 
 def test_rho_rejects_bad_classes():
     cx = build_torus_grid(3, 3)
-    fld = dyadic_field(cx, random.Random(26))
+    mc = MorseComplex.from_field(cx, dyadic_field(cx, random.Random(26)))
     with pytest.raises(ChainError):
-        rho(cx, fld, HomologyClass(0, frozenset(), "full", owner=cx))
+        rho(mc, HomologyClass(0, frozenset(), "full", owner=cx))
     e = next(c.id for c in cx.cells_of_dim(1))
     with pytest.raises(ChainError):
-        rho(cx, fld, HomologyClass(1, frozenset({e}), "full", owner=cx))  # not a cycle
+        rho(mc, HomologyClass(1, frozenset({e}), "full", owner=cx))  # not a cycle
 
 
 def test_shift_equivariance():
@@ -220,10 +222,11 @@ def test_shift_equivariance():
     Ys = [point_class(cx), fundamental_class(cx)] + fullh.homology_basis(cx)[1]
     for _ in range(10):
         fld = dyadic_field(cx, rng)
+        mf = MorseComplex.from_field(cx, fld)
         for c in (0.5, -0.25, 2.0):
-            g = shifted(fld, c)
+            mg = MorseComplex.from_field(cx, shifted(fld, c))
             for Y in Ys:
-                assert rho(cx, g, Y).sigma == rho(cx, fld, Y).sigma + c
+                assert rho(mg, Y).sigma == rho(mf, Y).sigma + c
 
 
 def test_monotonicity_in_the_field():
@@ -234,8 +237,9 @@ def test_monotonicity_in_the_field():
         f = dyadic_field(cx, rng)
         bump = [rng.randrange(1 << 10) / (1 << 20) for _ in range(cx.n_vertices)]
         g = make_field(cx, [a + b for a, b in zip(f.vertex_values, bump)])
+        mf, mg = MorseComplex.from_field(cx, f), MorseComplex.from_field(cx, g)
         for Y in Ys:
-            assert rho(cx, f, Y).sigma <= rho(cx, g, Y).sigma
+            assert rho(mf, Y).sigma <= rho(mg, Y).sigma
 
 
 def test_sigma_independent_of_gradient_tie_break():
@@ -243,10 +247,12 @@ def test_sigma_independent_of_gradient_tie_break():
     for _ in range(25):
         cx = build_torus_grid(rng.randint(3, 5), rng.randint(3, 5))
         fld = dyadic_field(cx, rng)
+        mc_id = MorseComplex.from_field(cx, fld, tie_break="id")
+        mc_rev = MorseComplex.from_field(cx, fld, tie_break="reverse-id")
         for k, classes in fullh.homology_basis(cx).items():
             for Y in classes:
-                a = rho(cx, fld, Y, tie_break="id").sigma
-                b = rho(cx, fld, Y, tie_break="reverse-id").sigma
+                a = rho(mc_id, Y).sigma
+                b = rho(mc_rev, Y).sigma
                 assert a == b
 
 
@@ -257,10 +263,11 @@ def test_lipschitz_identical_and_shift():
     cx = build_torus_grid(4, 4)
     fld = dyadic_field(cx, random.Random(30))
     Y = point_class(cx)
-    rep = lipschitz_check(cx, fld, fld, Y)
+    mf = MorseComplex.from_field(cx, fld)
+    rep = lipschitz_check(mf, mf, Y)
     assert rep.lhs == 0.0 and rep.passed
     g = shifted(fld, 0.75)
-    rep = lipschitz_check(cx, fld, g, Y)
+    rep = lipschitz_check(mf, MorseComplex.from_field(cx, g), Y)
     assert rep.lhs == rep.rhs == 0.75 and rep.passed
 
 
@@ -271,8 +278,9 @@ def test_lipschitz_random_pairs():
     for _ in range(200):
         f = dyadic_field(cx, rng)
         g = dyadic_field(cx, rng)
+        mf, mg = MorseComplex.from_field(cx, f), MorseComplex.from_field(cx, g)
         for Y in Ys:
-            assert lipschitz_check(cx, f, g, Y).passed
+            assert lipschitz_check(mf, mg, Y).passed
 
 
 # ------------------------------------------------------------ membership
@@ -282,14 +290,14 @@ def test_spectrum_membership_random():
     rng = random.Random(32)
     for _ in range(30):
         cx = build_torus_grid(rng.randint(3, 5), rng.randint(3, 5))
-        fld = dyadic_field(cx, rng)
+        mc = MorseComplex.from_field(cx, dyadic_field(cx, rng))
         for k, classes in fullh.homology_basis(cx).items():
             for Y in classes:
-                assert spectrum_membership(cx, fld, Y)
+                assert rho(mc, Y).spectrum_member
     cx = build_torus_grid(3, 3)
-    fld = make_field(cx, [0.0] * 9)
-    assert rho(cx, fld, point_class(cx)).sigma == 0.0
-    assert spectrum_membership(cx, fld, point_class(cx))
+    mc = MorseComplex.from_field(cx, make_field(cx, [0.0] * 9))
+    assert rho(mc, point_class(cx)).sigma == 0.0
+    assert rho(mc, point_class(cx)).spectrum_member
 
 
 # ------------------------------------------------------------ invariance
@@ -301,15 +309,17 @@ def test_invariance_translate_family():
     fld = dyadic_field(cx, rng)
     family = [translate_field(fld, k, 0) for k in range(5)]
     family += [translate_field(fld, 0, k) for k in range(4)]
+    mcs = [MorseComplex.from_field(cx, f) for f in family]
     for Y in [point_class(cx), fundamental_class(cx)] + fullh.homology_basis(cx)[1]:
-        res = invariance_sweep(cx, family, Y)
+        res = invariance_sweep(mcs, Y)
         assert res.constant
 
 
 def test_invariance_constant_family():
     cx = build_torus_grid(3, 3)
     fld = dyadic_field(cx, random.Random(34))
-    res = invariance_sweep(cx, [fld, fld, fld], point_class(cx))
+    mcs = [MorseComplex.from_field(cx, f) for f in (fld, fld, fld)]
+    res = invariance_sweep(mcs, point_class(cx))
     assert res.constant and len(res.values) == 3
 
 
@@ -319,7 +329,22 @@ def test_invariance_rejects_spectrum_mismatch():
     f = dyadic_field(cx, rng)
     g = dyadic_field(cx, rng)
     with pytest.raises(SpectrumMismatchError):
-        invariance_sweep(cx, [f, g], point_class(cx))
+        invariance_sweep(
+            [MorseComplex.from_field(cx, f), MorseComplex.from_field(cx, g)], point_class(cx)
+        )
+
+
+def test_queries_reject_two_cell_complexes():
+    rng = random.Random(37)
+    cx1, cx2 = build_torus_grid(3, 3), build_torus_grid(3, 3)
+    mc1 = MorseComplex.from_field(cx1, dyadic_field(cx1, rng))
+    mc2 = MorseComplex.from_field(cx2, dyadic_field(cx2, rng))
+    with pytest.raises(ComplexMismatchError):
+        lipschitz_check(mc1, mc2, point_class(cx1))
+    with pytest.raises(ComplexMismatchError):
+        invariance_sweep([mc1, mc2], point_class(cx1))
+    with pytest.raises(ComplexMismatchError):
+        rho(mc2, point_class(cx1))  # Y belongs to the other complex
 
 
 def anisotropic_bump(cx, cx0, cy0, wx, wy):
@@ -347,6 +372,7 @@ def test_invariance_fine_step_bump_family():
     gap = spectral_gap(spectrum(mc))
     step = max(c0_distance(a, b) for a, b in zip(family, family[1:]))
     assert step < gap  # the family really is fine relative to its spectrum
+    mcs = [MorseComplex.from_field(cx, f) for f in family]
     for Y in (point_class(cx), fundamental_class(cx)):
-        res = invariance_sweep(cx, family, Y)
+        res = invariance_sweep(mcs, Y)
         assert res.constant
