@@ -44,6 +44,14 @@ from .fields import expression_field, random_field, translate_field
 from .homology import HomologyClass
 
 
+# Sizes above these are bad input, refused before any work starts: torus
+# vertices (16 times a 256x256 grid), sweep family fields (one Morse complex
+# each) and ``bounds iterate`` steps (its oracle runs each; 10^7 take seconds).
+MAX_TORUS_VERTICES = 1 << 20
+MAX_FAMILY_STEPS = 10_000
+MAX_ITERATE_N = 10_000_000
+
+
 def _parse_complex(spec: str) -> CellComplex:
     if spec.startswith("file:"):
         return load_simplicial(spec[5:])
@@ -52,6 +60,8 @@ def _parse_complex(spec: str) -> CellComplex:
         raise MorsespecError(
             f"bad complex spec {spec!r}; want torus:NX:NY with integers NX, NY or file:PATH"
         )
+    if int(m[1]) * int(m[2]) > MAX_TORUS_VERTICES:
+        raise MorsespecError(f"complex spec {spec!r} exceeds {MAX_TORUS_VERTICES} vertices")
     return build_torus_grid(int(m[1]), int(m[2]))
 
 
@@ -190,32 +200,33 @@ def _cmd_compare(args) -> int:
 
 def _family_fields(args, cx, base):
     kind, _, rest = args.family.partition(":")
+    parts = rest.split(":")
     if kind == "translate":
-        if rest:
-            steps = int(rest)
-        elif cx.torus_shape:
-            steps = cx.torus_shape[0]
-        else:
+        if not rest and not cx.torus_shape:
             raise MorsespecError("translate family needs a torus grid")
-        return [translate_field(base, k, 0) for k in range(steps)]
-    if kind == "constant":
+        steps = int(rest) if rest else cx.torus_shape[0]
+    elif kind == "constant":
         steps = int(rest) if rest else 3
-        return [base for _ in range(steps)]
-    if kind == "perturb":
-        parts = rest.split(":")
+    elif kind == "perturb":
         if len(parts) < 2:
             raise MorsespecError("perturb family needs EPS_MAX:STEPS")
         eps_max, steps = float(parts[0]), int(parts[1])
-        rng = random.Random(int(parts[2]) if len(parts) > 2 else args.seed)
-        g = [rng.random() for _ in range(cx.n_vertices)]
-        fields = []
-        for i in range(steps):
-            eps = eps_max * i / max(steps - 1, 1)
-            fields.append(
-                make_field(cx, [a + eps * b for a, b in zip(base.vertex_values, g)])
-            )
-        return fields
-    raise MorsespecError(f"unknown family {args.family!r}")
+    else:
+        raise MorsespecError(f"unknown family {args.family!r}")
+    if not 1 <= steps <= MAX_FAMILY_STEPS:
+        raise MorsespecError(
+            f"--family {args.family!r}: STEPS must be in 1..{MAX_FAMILY_STEPS}, got {steps}"
+        )
+    if kind == "translate":
+        return [translate_field(base, k, 0) for k in range(steps)]
+    if kind == "constant":
+        return [base] * steps
+    rng = random.Random(int(parts[2]) if len(parts) > 2 else args.seed)
+    g = [rng.random() for _ in range(cx.n_vertices)]
+    return [
+        make_field(cx, [a + eps * b for a, b in zip(base.vertex_values, g)])
+        for eps in (eps_max * i / max(steps - 1, 1) for i in range(steps))
+    ]
 
 
 def _cmd_sweep(args) -> int:
@@ -225,8 +236,6 @@ def _cmd_sweep(args) -> int:
         family = _family_fields(args, cx, base)
     except ValueError as e:
         raise MorsespecError(f"bad --family {args.family!r}: {e}") from None
-    if not family:
-        raise MorsespecError(f"--family {args.family!r} has no fields; STEPS must be >= 1")
     classes = _resolve_classes(cx, args.cls)
     mcs = [morse.MorseComplex.from_field(cx, fld) for fld in family]
     spectra = [spectral.spectrum(mc) for mc in mcs]
@@ -266,10 +275,6 @@ def _finite(value) -> bool:
     if isinstance(value, list):
         return all(map(_finite, value))
     return math.isfinite(value)
-
-
-# ``bounds iterate`` runs its oracle step by step: 10^7 steps take seconds.
-MAX_ITERATE_N = 10_000_000
 
 
 def _cmd_bounds(args) -> int:

@@ -2,12 +2,15 @@
 
 A vector is a Python int; bit i is coordinate i.  Column reduction keeps at
 most one column per pivot (the highest set bit), processing columns in the
-order given, so every routine here is deterministic.
+order given, so every routine here is deterministic.  ``reduce_vector`` is
+the one elimination loop: ``kernel_basis`` tracks combinations by reducing
+augmented columns whose low bits carry them, and ``cycle_basis`` is the
+homology basis step both homology modules share, with clearing.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Container, Iterable
 
 
 def pivot(v: int) -> int:
@@ -60,27 +63,36 @@ def in_span(v: int, ech: dict[int, int]) -> bool:
     return reduce_vector(v, ech) == 0
 
 
-def kernel_basis(columns: list[int]) -> list[int]:
+def kernel_basis(columns: list[int], skip: Container[int] = ()) -> list[int]:
     """Combination masks c with XOR of {columns[j] : bit j of c} = 0.
 
-    The masks form a basis of the kernel of the column matrix; one mask per
-    dependent column, in column order.
+    One mask per dependent column, in column order: a basis of the kernel.
+    Column j is reduced as the augmented vector ``(columns[j] << n) | 1 << j``;
+    once its column part cancels, the low n bits hold its combination.
+    Columns whose index is in ``skip`` are left out.
     """
-    ech: dict[int, tuple[int, int]] = {}
+    n = len(columns)
+    ech: dict[int, int] = {}
     out = []
     for j, col in enumerate(columns):
-        combo = 1 << j
-        while col:
-            p = col.bit_length() - 1
-            entry = ech.get(p)
-            if entry is None:
-                ech[p] = (col, combo)
-                break
-            col ^= entry[0]
-            combo ^= entry[1]
+        if j in skip:
+            continue
+        v = reduce_vector((col << n) | 1 << j, ech)
+        if v >> n:
+            ech[pivot(v)] = v
         else:
-            out.append(combo)
+            out.append(v)
     return out
+
+
+def cycle_basis(d_in: list[int], boundary_ech: dict[int, int]) -> list[int]:
+    """Kernel masks of d_in that extend boundary_ech to a basis of the cycles.
+
+    Clearing (Chen-Kerber): a pivot j of boundary_ech is the top bit of a
+    cycle, so column j of d_in is dependent; skipping it changes no other
+    column's reduction.  boundary_ech itself is not modified.
+    """
+    return extend(dict(boundary_ech), kernel_basis(d_in, skip=boundary_ech.keys()))
 
 
 def solve(columns: list[int], target: int) -> int | None:

@@ -3,7 +3,8 @@
 This is the slow-but-simple route: no matchings, no flow, just column
 reduction of the incidence matrices.  It serves as the reference computation
 against which the Morse-complex route is checked, and it supplies canonical
-homology classes for class selectors.
+homology classes for class selectors.  Those come from ``gf2.cycle_basis``,
+the cleared reduction that ``morse.homology_basis`` shares.
 
 Chains over the full complex are frozensets of cell ids.  Internally each
 dimension's cells are indexed in id order and chains become int bitmasks;
@@ -79,8 +80,7 @@ def betti_numbers(cx: CellComplex) -> list[int]:
     """Betti numbers b_0..b_top by rank counting on the boundary matrices."""
     ranks = {}
     for d in range(cx.top_dim + 2):
-        cols = boundary_columns(cx, d) if 0 < d <= cx.top_dim else []
-        ranks[d] = gf2.rank(cols)
+        ranks[d] = gf2.rank(boundary_columns(cx, d))
     return [
         len(cx.cells_of_dim(d)) - ranks[d] - ranks[d + 1]
         for d in range(cx.top_dim + 1)
@@ -90,22 +90,17 @@ def betti_numbers(cx: CellComplex) -> list[int]:
 def homology_basis(cx: CellComplex) -> dict[int, list[HomologyClass]]:
     """A deterministic homology basis per grade.
 
-    Grade-d cycles come from kernel combinations of the d-th boundary matrix
-    (columns in id order); a cycle joins the basis when it is independent of
-    the boundaries and of previously accepted cycles.
+    Grade-d cycles come from ``gf2.cycle_basis`` on the d-th boundary matrix
+    (columns in id order): a kernel combination joins the basis when it is
+    independent of the boundaries and of previously accepted cycles.
     """
     out: dict[int, list[HomologyClass]] = {}
     for d in range(cx.top_dim + 1):
         idx = _DimIndex(cx, d)
-        if d == 0:
-            cycles = [1 << i for i in range(len(idx.cells))]
-        else:
-            cycles = gf2.kernel_basis(boundary_columns(cx, d))
-        bcols = boundary_columns(cx, d + 1, idx) if d < cx.top_dim else []
-        ech = gf2.echelonize(bcols)
+        ech = gf2.echelonize(boundary_columns(cx, d + 1, idx))
         out[d] = [
             HomologyClass(d, idx.unmask(v), "full", owner=cx)
-            for v in gf2.extend(ech, cycles)
+            for v in gf2.cycle_basis(boundary_columns(cx, d), ech)
         ]
     return out
 
@@ -128,7 +123,7 @@ def class_coordinates(
 ) -> list[int]:
     """Coordinates of [support] in the given homology basis of that grade."""
     idx = _DimIndex(cx, grade)
-    bcols = boundary_columns(cx, grade + 1, idx) if grade < cx.top_dim else []
+    bcols = boundary_columns(cx, grade + 1, idx)
     cols = bcols + [idx.mask(h.support) for h in basis]
     combo = gf2.solve(cols, idx.mask(support))
     if combo is None:

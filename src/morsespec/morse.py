@@ -364,12 +364,9 @@ class MorseComplex:
         return ech
 
     def betti(self) -> list[int]:
-        out = []
-        for k in range(self.complex.top_dim + 1):
-            r_k = gf2.rank(self.boundary.get(k, []))
-            r_k1 = gf2.rank(self.boundary.get(k + 1, []))
-            out.append(self.rank(k) - r_k - r_k1)
-        return out
+        top = self.complex.top_dim
+        ranks = [gf2.rank(self.boundary.get(k, [])) for k in range(top + 2)]
+        return [self.rank(k) - ranks[k] - ranks[k + 1] for k in range(top + 1)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -447,20 +444,8 @@ def homology_basis(mc: MorseComplex) -> dict[int, list[HomologyClass]]:
     """Per grade, a deterministic GF(2) basis of cycles modulo boundaries."""
     out: dict[int, list[HomologyClass]] = {}
     for k in range(mc.complex.top_dim + 1):
-        n = mc.rank(k)
-        if n == 0:
-            out[k] = []
-            continue
-        cols = mc.boundary.get(k, [])
-        if k == 0 or all(c == 0 for c in cols):
-            cycles = [1 << i for i in range(n)]
-        else:
-            cycles = gf2.kernel_basis(cols)
-        ech = dict(mc.boundary_echelon(k))
-        out[k] = [
-            HomologyClass(k, mc.unmask(k, v), "morse", owner=mc)
-            for v in gf2.extend(ech, cycles)
-        ]
+        cycles = gf2.cycle_basis(mc.boundary.get(k, []), mc.boundary_echelon(k))
+        out[k] = [HomologyClass(k, mc.unmask(k, v), "morse", owner=mc) for v in cycles]
     return out
 
 

@@ -1,0 +1,125 @@
+"""Cleared cycle bases against the uncleared route they replaced.
+
+``gf2.cycle_basis`` skips every column that is a pivot of the boundary
+echelon (clearing).  The reference here is the route without clearing:
+a kernel basis built by an explicit (column, combination) pair loop over
+every column, the echelon of the boundary matrix, then ``gf2.extend``.
+Both must give the same vectors in the same order, compared with ``==``.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import morsespec.homology as fullh
+from conftest import cycle_graph, dyadic_field, random_simplicial, tetra_boundary
+from morsespec import MorseComplex, build_torus_grid, gf2, homology_basis, make_field
+from morsespec.fields import expression_field
+
+
+def tuple_loop_kernel(columns):
+    """Kernel masks by reducing (column, combination) pairs side by side."""
+    ech = {}
+    out = []
+    for j, col in enumerate(columns):
+        combo = 1 << j
+        while col:
+            p = col.bit_length() - 1
+            entry = ech.get(p)
+            if entry is None:
+                ech[p] = (col, combo)
+                break
+            col ^= entry[0]
+            combo ^= entry[1]
+        else:
+            out.append(combo)
+    return out
+
+
+def uncleared_cycle_basis(d_in, d_out):
+    return gf2.extend(gf2.echelonize(d_out), tuple_loop_kernel(d_in))
+
+
+def check_grade(d_in, d_out, ech):
+    """cycle_basis(d_in, ech) matches the reference and leaves ech alone."""
+    assert ech == gf2.echelonize(d_out)
+    before = dict(ech)
+    got = gf2.cycle_basis(d_in, ech)
+    assert got == uncleared_cycle_basis(d_in, d_out)
+    assert ech == before
+    return got
+
+
+def check_full_complex(cx):
+    basis = fullh.homology_basis(cx)
+    for d in range(cx.top_dim + 1):
+        cells = [c.id for c in cx.cells if c.dim == d]
+        d_in = fullh.boundary_columns(cx, d)
+        d_out = fullh.boundary_columns(cx, d + 1)
+        cycles = check_grade(d_in, d_out, gf2.echelonize(d_out))
+        expected = [frozenset(cells[i] for i in gf2.to_bits(v)) for v in cycles]
+        assert [h.support for h in basis[d]] == expected
+
+
+def check_morse_complex(mc):
+    basis = homology_basis(mc)
+    for k in range(mc.complex.top_dim + 1):
+        d_in = mc.boundary.get(k, [])
+        cycles = check_grade(d_in, mc.boundary.get(k + 1, []), mc.boundary_echelon(k))
+        assert [h.support for h in basis[k]] == [mc.unmask(k, v) for v in cycles]
+
+
+TORUS_SHAPES = [(n, n) for n in range(2, 25)] + [
+    (2, 5), (5, 2), (3, 7), (9, 4), (16, 24), (24, 11),
+]
+
+
+@pytest.mark.parametrize("nx,ny", TORUS_SHAPES)
+def test_torus_full_basis_matches_uncleared(nx, ny):
+    check_full_complex(build_torus_grid(nx, ny))
+
+
+def test_simplicial_full_basis_matches_uncleared():
+    rng = random.Random(6)
+    complexes = [tetra_boundary(), cycle_graph(3), cycle_graph(8)]
+    complexes += [random_simplicial(rng) for _ in range(40)]
+    assert any(cx.top_dim == 3 for cx in complexes)
+    for cx in complexes:
+        check_full_complex(cx)
+
+
+def plateau_field(cx, rng):
+    """Three distinct values over all vertices: most cells tie."""
+    return make_field(cx, [rng.randrange(3) / 4 for _ in range(cx.n_vertices)])
+
+
+@pytest.mark.parametrize("field", ["random", "bump", "plateau"])
+def test_morse_basis_matches_uncleared(field, corpus):
+    rng = random.Random(7)
+    complexes = [build_torus_grid(nx, ny) for nx, ny in [(4, 4), (7, 5), (16, 16), (24, 24)]]
+    complexes += [cx for cx, _ in corpus]
+    for cx in complexes:
+        if field == "random":
+            fld = dyadic_field(cx, rng)
+        elif field == "bump":
+            if cx.torus_shape is None:
+                continue
+            fld = expression_field(cx, "bump")
+        else:
+            fld = plateau_field(cx, rng)
+        check_morse_complex(MorseComplex.from_field(cx, fld))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kernel_basis_skips_only_the_given_dependent_masks(data):
+    width = data.draw(st.integers(1, 10), label="width")
+    cols = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=14), label="cols")
+    full = gf2.kernel_basis(cols)
+    assert full == tuple_loop_kernel(cols)
+    # Each kernel mask's top bit is the index of the dependent column it belongs to.
+    dependent = [gf2.pivot(m) for m in full]
+    skip = data.draw(st.sets(st.sampled_from(dependent)) if dependent else st.just(set()))
+    assert gf2.kernel_basis(cols, skip) == [m for m in full if gf2.pivot(m) not in skip]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from morsespec import morse
-from morsespec.cli import main
+from morsespec.cli import MAX_FAMILY_STEPS, MAX_TORUS_VERTICES, main
 
 
 def run_cli(capsys, *argv):
@@ -274,6 +275,11 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert selector in error and "int()" not in error
     error = bad_input(capsys, "homology", "--complex", "torus:a:4", "--field", "expr:bump")
     assert "torus:a:4" in error and "int()" not in error
+    # Refused before any cell is built, so this returns at once.
+    error = bad_input(
+        capsys, "homology", "--complex", "torus:100000:100000", "--field", "expr:bump"
+    )
+    assert "'torus:100000:100000'" in error and str(MAX_TORUS_VERTICES) in error
     error = bad_input(
         capsys, "sweep", "--complex", "torus:4:4", "--field", "expr:bump",
         "--family", "translate:x",
@@ -312,6 +318,17 @@ def test_empty_sweep_family_rejected(capsys, family):
         capsys, "sweep", "--complex", "torus:4:4", "--field", "expr:bump", "--family", family
     )
     assert f"--family {family!r}" in error
+
+
+@pytest.mark.parametrize(
+    "family", ["translate:100000000", "perturb:0.1:100000000", "constant:100000000"]
+)
+def test_sweep_family_length_cap(capsys, family):
+    # Refused before the first field is built, so this returns at once.
+    error = bad_input(
+        capsys, "sweep", "--complex", "torus:3:3", "--field", "expr:bump", "--family", family
+    )
+    assert f"--family {family!r}" in error and str(MAX_FAMILY_STEPS) in error
 
 
 @pytest.mark.parametrize("argv", [
@@ -427,17 +444,45 @@ README_INPUTS = {
 }
 
 
+# sha256 of each README command's stdout without its final newline, in
+# README order, then of one selected class; reports must stay byte-identical.
+README_DIGESTS = [
+    "e0dc60ababb37a4db004a4c304a91326a4e5940da76371a685a39c2ff2648dc6",
+    "f375198557b278ef18c70baa72ef16a54c5b9ee495aa9fefa0fbbd187977cf90",
+    "8e744afea7b53307eb804325dc634093de20cabb04ec725f61c1d90e55293adf",
+    "9dabbad3e1d4f72f4d1185a217ed3975a27f6433b2f4f23485abd2af1750214e",
+    "fde3dd1018011bcabaa4d5e94897077f75cdd0420218a899bff380cf802675bb",
+    "3f776e428fe659c95adcc07715b46c49d8b248ec62f4a9e22816408677c8725d",
+    "9e2ff6e6f88dd8485c65ecc3e4c5c2c99e7ff49818854ffd382d64efac13ab09",
+    "0cc35a377b0339b4492085b46f85384b5c2e62d761f256d35c17cdbb53c63e2d",
+    "f0e542e361d91ab186044327085543bc3d26b4d93eae6ecc746029fca8189b86",
+    "cfdc5a21de32ec27a2b2745327b0384ef6a9a2d2aa119d150a8aa02e29576cba",
+]
+
+
+def stdout_digest(out: str) -> str:
+    return hashlib.sha256(out.removesuffix("\n").encode()).hexdigest()
+
+
 def test_readme_commands(capsys, tmp_path, monkeypatch):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
     commands = [line.split()[1:] for line in block.splitlines() if line.startswith("morsespec ")]
     assert len(commands) == 9
+    # One selected class too: its witness_support is the output most
+    # sensitive to a change of homology basis.
+    commands.append(
+        "spectral --complex torus:4:4 --field expr:random:3 --class grade:1:index:1".split()
+    )
     # The dyadic grids of test_compare_fields_and_trials.
     (tmp_path / "a.csv").write_text("0,0.25,0.5\n0.125,0.375,0.625\n0.75,0.875,1.0\n")
     (tmp_path / "b.csv").write_text("0.5,0.75,1.0\n0.625,0.875,1.125\n1.25,1.375,1.5\n")
     monkeypatch.chdir(tmp_path)
-    for argv in commands:
-        code, rep, _ = run_json(capsys, *argv)
+    for argv, digest in zip(commands, README_DIGESTS, strict=True):
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0, argv
+        rep = json.loads(out)
         assert list(rep) == ["command", "inputs", "results", "pass_counts", "seed"]
         assert list(rep["inputs"]) == README_INPUTS[rep["command"]], argv
+        assert stdout_digest(out) == digest, argv
+
