@@ -31,24 +31,17 @@ from pathlib import Path
 from . import bounds as bnd
 from . import homology as fullh
 from . import morse, spectral
-from .complex import (
-    CellComplex,
-    build_torus_grid,
-    load_field,
-    load_simplicial,
-    make_field,
-)
+from .complex import CellComplex, build_torus_grid, load_field, load_simplicial
 from .continuation import sandwich_built
 from .errors import MorsespecError
-from .fields import expression_field, random_field, translate_field
+from .fields import expression_field, family, random_field
 from .homology import HomologyClass
 
 
 # Sizes above these are bad input, refused before any work starts: torus
-# vertices (16 times a 256x256 grid), sweep family fields (one Morse complex
-# each) and ``bounds iterate`` steps (its oracle runs each; 10^7 take seconds).
+# vertices (16 times a 256x256 grid) and ``bounds iterate`` steps (its oracle
+# runs each; 10^7 take seconds).  ``fields.MAX_FAMILY_STEPS`` caps sweeps.
 MAX_TORUS_VERTICES = 1 << 20
-MAX_FAMILY_STEPS = 10_000
 MAX_ITERATE_N = 10_000_000
 
 
@@ -198,74 +191,18 @@ def _cmd_compare(args) -> int:
     return _finish(args, inputs, results, passed, len(results) - passed)
 
 
-def _family_fields(args, cx, base):
-    kind, _, rest = args.family.partition(":")
-    parts = rest.split(":")
-    if kind == "translate":
-        if not rest and not cx.torus_shape:
-            raise MorsespecError("translate family needs a torus grid")
-        steps = int(rest) if rest else cx.torus_shape[0]
-    elif kind == "constant":
-        steps = int(rest) if rest else 3
-    elif kind == "perturb":
-        if len(parts) < 2:
-            raise MorsespecError("perturb family needs EPS_MAX:STEPS")
-        eps_max, steps = float(parts[0]), int(parts[1])
-    else:
-        raise MorsespecError(f"unknown family {args.family!r}")
-    if not 1 <= steps <= MAX_FAMILY_STEPS:
-        raise MorsespecError(
-            f"--family {args.family!r}: STEPS must be in 1..{MAX_FAMILY_STEPS}, got {steps}"
-        )
-    if kind == "translate":
-        return [translate_field(base, k, 0) for k in range(steps)]
-    if kind == "constant":
-        return [base] * steps
-    rng = random.Random(int(parts[2]) if len(parts) > 2 else args.seed)
-    g = [rng.random() for _ in range(cx.n_vertices)]
-    return [
-        make_field(cx, [a + eps * b for a, b in zip(base.vertex_values, g)])
-        for eps in (eps_max * i / max(steps - 1, 1) for i in range(steps))
-    ]
-
-
 def _cmd_sweep(args) -> int:
     cx = _parse_complex(args.complex)
-    base = _parse_field(args.field, cx)
-    try:
-        family = _family_fields(args, cx, base)
-    except ValueError as e:
-        raise MorsespecError(f"bad --family {args.family!r}: {e}") from None
+    fields = family(_parse_field(args.field, cx), args.family, args.seed)
     classes = _resolve_classes(cx, args.cls)
-    mcs = [morse.MorseComplex.from_field(cx, fld) for fld in family]
-    spectra = [spectral.spectrum(mc) for mc in mcs]
-    spectra_equal = all(sp == spectra[0] for sp in spectra)
-    passed = failed = 0
-    results: list[dict] = []
-    for label, Y in classes:
-        values = [spectral.rho(mc, Y).sigma for mc in mcs]
-        checks = [
-            spectral.lipschitz_report(fa, fb, va, vb)
-            for fa, fb, va, vb in zip(family, family[1:], values, values[1:])
-        ]
-        passed += sum(c.passed for c in checks)
-        failed += sum(not c.passed for c in checks)
-        constant = None
-        if spectra_equal:
-            constant = len(set(values)) <= 1
-            passed += int(constant)
-            failed += int(not constant)
-        results.append(
-            {
-                "class": label,
-                "rho_values": values,
-                "lipschitz_margins": [c.rhs - c.lhs for c in checks],
-                "spectra_equal": spectra_equal,
-                "constant": constant,
-            }
-        )
+    # A generator: at most two Morse complexes are alive at a time.
+    mcs = (morse.MorseComplex.from_field(cx, fld) for fld in fields)
+    reports = spectral.sweep(mcs, [Y for _, Y in classes])
+    results = [{"class": label, **rep.to_json_dict()} for (label, _), rep in zip(classes, reports)]
+    checks = [ok for rep in reports for ok in rep.checks]
+    passed = sum(checks)
     inputs = _echo(args, "complex", "field", "family", "class")
-    return _finish(args, inputs, results, passed, failed)
+    return _finish(args, inputs, results, passed, len(checks) - passed)
 
 
 def _finite(value) -> bool:
@@ -373,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("sweep", "family sweeps: invariance and Lipschitz margins")
     p.add_argument("--family", required=True,
-                   help="translate:STEPS | perturb:EPS_MAX:STEPS[:SEED] | constant:STEPS")
+                   help="translate[:STEPS] | constant[:STEPS] | perturb:EPS_MAX:STEPS[:SEED]")
 
     pb = sub.add_parser("bounds", help="closed-form estimate arithmetic")
     bsub = pb.add_subparsers(dest="bounds_cmd", required=True)

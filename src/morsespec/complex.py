@@ -227,12 +227,6 @@ class ScalarField:
     cell_values: tuple[float, ...]
     order_rank: tuple[int, ...]
 
-    def cells_in_order(self) -> list[int]:
-        order = [0] * len(self.complex)
-        for cid, r in enumerate(self.order_rank):
-            order[r] = cid
-        return order
-
 
 def make_field(cx: CellComplex, values) -> ScalarField:
     """Build the scalar field with lower-star extension over ``cx``.

@@ -27,10 +27,6 @@ class GradientCycleError(MorsespecError, RuntimeError):
     """A closed V-path was detected while flowing along a matching."""
 
 
-class SpectrumMismatchError(MorsespecError, ValueError):
-    """A family sweep received fields whose spectra differ."""
-
-
 class BoundsDomainError(MorsespecError, ValueError):
     """A bound parameter is outside its admissible range."""
 

@@ -1,9 +1,12 @@
-"""Built-in scalar fields for the command line and for experiments."""
+"""Built-in scalar fields and sweep families for the command line and for
+experiments."""
 
 from __future__ import annotations
 
 import math
 import random
+import re
+from collections.abc import Iterator
 
 from .complex import CellComplex, ScalarField, make_field, torus_vertex_id
 from .errors import InputFormatError
@@ -11,6 +14,10 @@ from .errors import InputFormatError
 # Random fields use dyadic values k / 2^20 with distinct k, so sums and
 # differences of field values stay exact in binary64.
 _DENOM_BITS = 20
+
+# A sweep builds one Morse complex per family field; longer families are bad
+# input, refused before any field is built.
+MAX_FAMILY_STEPS = 10_000
 
 
 def random_field(cx: CellComplex, rng: random.Random) -> ScalarField:
@@ -82,3 +89,59 @@ def expression_field(cx: CellComplex, name: str) -> ScalarField:
             raise InputFormatError(f"bad random field seed in {name!r}") from None
         return random_field(cx, random.Random(seed))
     raise InputFormatError(f"unknown field expression {name!r}")
+
+
+# Each family kind's ``--family`` form, and how many of its numbers it needs.
+_FAMILY_FORMS = {
+    "translate": ("translate[:STEPS]", 0),
+    "constant": ("constant[:STEPS]", 0),
+    "perturb": ("perturb:EPS_MAX:STEPS[:SEED]", 2),
+}
+
+
+def family(base: ScalarField, spec: str, seed: int = 0) -> Iterator[ScalarField]:
+    """The fields of a ``--family`` spec, built lazily once the whole spec checks.
+
+    ``translate[:STEPS]`` shifts ``base`` by 0..STEPS-1 grid steps in x (STEPS
+    defaults to NX); ``constant[:STEPS]`` repeats it (3 times by default);
+    ``perturb:EPS_MAX:STEPS[:SEED]`` adds eps * g for STEPS eps evenly spaced
+    from 0 to EPS_MAX, with one g in [0, 1) per vertex drawn from SEED
+    (default ``seed``).
+    """
+
+    def bad(reason: str) -> InputFormatError:
+        return InputFormatError(f"--family {spec!r}: {reason}")
+
+    kind, _, rest = spec.partition(":")
+    parts = rest.split(":") if rest else []
+    if kind not in _FAMILY_FORMS:
+        raise bad("want " + " or ".join(form for form, _ in _FAMILY_FORMS.values()))
+    form, required = _FAMILY_FORMS[kind]
+    names = re.findall(r"[A-Z_]+", form)
+    if not required <= len(parts) <= len(names):
+        raise bad(f"want {form}")
+    nums = {}
+    for name, text in zip(names, parts):
+        try:
+            nums[name] = float(text) if name == "EPS_MAX" else int(text)
+        except ValueError:
+            raise bad(f"bad {name} {text!r}") from None
+    cx = base.complex
+    if kind == "translate" and cx.torus_shape is None:
+        raise bad("translate needs a torus grid")
+    eps_max = nums.get("EPS_MAX", 0.0)
+    if not math.isfinite(max(map(abs, base.vertex_values)) + abs(eps_max)):
+        raise bad("EPS_MAX must be finite, also when added to the field values")
+    steps = nums.get("STEPS", cx.torus_shape[0] if kind == "translate" else 3)
+    if not 1 <= steps <= MAX_FAMILY_STEPS:
+        raise bad(f"STEPS must be in 1..{MAX_FAMILY_STEPS}, got {steps}")
+    if kind == "translate":
+        return (translate_field(base, k, 0) for k in range(steps))
+    if kind == "constant":
+        return (base for _ in range(steps))
+    rng = random.Random(nums.get("SEED", seed))
+    g = [rng.random() for _ in range(cx.n_vertices)]
+    return (
+        make_field(cx, [a + eps * b for a, b in zip(base.vertex_values, g)])
+        for eps in (eps_max * i / max(steps - 1, 1) for i in range(steps))
+    )

@@ -13,11 +13,11 @@ action) or cannot reach it, so the greedy result is the true minimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import gf2
 from .complex import CellComplex, ScalarField, c0_distance
-from .errors import ChainError, ComplexMismatchError, SpectrumMismatchError
+from .errors import ChainError, ComplexMismatchError
 from .homology import HomologyClass, is_cycle as full_is_cycle
 from .morse import MorseComplex, check_one_complex
 
@@ -155,58 +155,63 @@ class LipschitzReport:
     rhs: float
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "pass": self.passed}
-
-
-def lipschitz_report(
-    f1: ScalarField, f2: ScalarField, sigma1: float, sigma2: float
-) -> LipschitzReport:
-    """Compare |sigma1 - sigma2| against the sup distance of the fields."""
-    lhs = abs(sigma1 - sigma2)
-    rhs = c0_distance(f1, f2)
-    return LipschitzReport(lhs, rhs, lhs <= rhs)
-
 
 def lipschitz_check(
     mc1: MorseComplex, mc2: MorseComplex, Y: HomologyClass
 ) -> LipschitzReport:
     """Compare |rho(f1) - rho(f2)| against the sup distance of the fields."""
     check_one_complex(mc1, mc2)
-    return lipschitz_report(mc1.field, mc2.field, rho(mc1, Y).sigma, rho(mc2, Y).sigma)
+    lhs = abs(rho(mc1, Y).sigma - rho(mc2, Y).sigma)
+    rhs = c0_distance(mc1.field, mc2.field)
+    return LipschitzReport(lhs, rhs, lhs <= rhs)
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    values: tuple[float, ...]
-    constant: bool
-    spectrum: tuple[float, ...]
+class SweepReport:
+    """rho of one class along a family of fields.
+
+    ``lipschitz_margins`` holds c0_distance - |rho change| per consecutive
+    pair of fields; ``constant`` is None unless every field has one spectrum.
+    """
+
+    rho_values: list[float]
+    lipschitz_margins: list[float]
+    spectra_equal: bool
+    constant: bool | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "values": list(self.values),
-            "constant": self.constant,
-            "spectrum": list(self.spectrum),
-        }
+        return asdict(self)
+
+    @property
+    def checks(self) -> list[bool]:
+        """One verdict per margin, plus the constancy verdict if there is one."""
+        verdicts = [m >= 0 for m in self.lipschitz_margins]
+        return verdicts if self.constant is None else verdicts + [self.constant]
 
 
-def invariance_sweep(mcs, Y: HomologyClass) -> SweepResult:
-    """Evaluate rho across the Morse complexes of a family sharing one spectrum.
+def sweep(mcs, Ys: list[HomologyClass]) -> list[SweepReport]:
+    """rho of each class in ``Ys`` along the Morse complexes of a family.
 
-    The family is a finite list of built Morse complexes of fields on one
-    complex; the shared-spectrum hypothesis is verified and a mismatch raises
-    SpectrumMismatchError.  The verdict is meaningful when consecutive fields
-    are close in sup norm relative to the smallest spectral gap.
+    ``mcs`` is consumed once, in order, holding only the previous complex, so
+    it may be a generator that builds each one on demand.  The invariance
+    verdict is meaningful when consecutive fields are close in sup norm
+    relative to the smallest spectral gap.
     """
-    mcs = list(mcs)
-    if not mcs:
+    rows, dists, prev = [], [], None
+    for mc in mcs:
+        if prev is None:
+            first, spectra_equal = spectrum(mc), True
+        else:
+            check_one_complex(prev, mc)
+            dists.append(c0_distance(prev.field, mc.field))
+            spectra_equal = spectra_equal and spectrum(mc) == first
+        rows.append([rho(mc, Y).sigma for Y in Ys])
+        prev = mc
+    if prev is None:
         raise ChainError("empty family")
-    check_one_complex(*mcs)
-    values = [rho(mc, Y).sigma for mc in mcs]
-    spectra = [tuple(spectrum(mc)) for mc in mcs]
-    for i, sp in enumerate(spectra[1:], start=1):
-        if sp != spectra[0]:
-            raise SpectrumMismatchError(
-                f"field {i} has spectrum {sp}, expected {spectra[0]}"
-            )
-    return SweepResult(tuple(values), len(set(values)) <= 1, spectra[0])
+    reports = []
+    for vals in map(list, zip(*rows)):
+        margins = [d - abs(a - b) for d, a, b in zip(dists, vals, vals[1:])]
+        constant = len(set(vals)) <= 1 if spectra_equal else None
+        reports.append(SweepReport(vals, margins, spectra_equal, constant))
+    return reports

@@ -32,7 +32,6 @@ from morsespec import (
     exhaustive_spectral_value,
     functoriality_check,
     homology_basis,
-    invariance_sweep,
     iteration_bound,
     iteration_oracle,
     min_steps,
@@ -42,6 +41,7 @@ from morsespec import (
     sandwich_built,
     spectral_value,
     spectrum,
+    sweep,
     verify_d_squared,
 )
 from morsespec.fields import translate_field
@@ -308,8 +308,8 @@ def test_criterion_11_invariance_translate_families():
             + [fundamental_class(cx)]
         )
         mcs = [_mc(cx, f)[1] for f in family]
-        for Y in Ys:
-            if not invariance_sweep(mcs, Y).constant:
+        for res in sweep(mcs, Ys):
+            if not res.constant:
                 bad += 1
     _check("criterion 11: translate families give constant rho", bad == 0)
 

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from morsespec import morse
-from morsespec.cli import MAX_FAMILY_STEPS, MAX_TORUS_VERTICES, main
+from morsespec.cli import MAX_TORUS_VERTICES, main
+from morsespec.fields import MAX_FAMILY_STEPS
 
 
 def run_cli(capsys, *argv):
@@ -285,6 +286,47 @@ def test_input_errors_exit_2(capsys, tmp_path):
         "--family", "translate:x",
     )
     assert "--family 'translate:x'" in error
+    # A filled triangle: translate needs a torus grid, and there is no
+    # fundamental cycle.
+    tri = tmp_path / "tri.txt"
+    tri.write_text("0 1 2\n")
+    error = bad_input(
+        capsys, "sweep", "--complex", f"file:{tri}", "--field", "expr:random:1",
+        "--family", "translate:3",
+    )
+    assert "--family 'translate:3'" in error and "torus" in error
+    # A finite EPS_MAX that would still overflow the field values.
+    (tmp_path / "big.txt").write_text("1.7e308\n" * 9)
+    error = bad_input(
+        capsys, "sweep", "--complex", "torus:3:3", "--field", str(tmp_path / "big.txt"),
+        "--family", "perturb:1e308:2",
+    )
+    assert "--family 'perturb:1e308:2'" in error and "EPS_MAX" in error
+    error = bad_input(
+        capsys, "spectral", "--complex", f"file:{tri}", "--field", "expr:random:1",
+        "--class", "fundamental",
+    )
+    assert "no fundamental cycle" in error
+    (tmp_path / "repeat.txt").write_text("0 0 1\n")
+    error = bad_input(
+        capsys, "homology", "--complex", f"file:{tmp_path / 'repeat.txt'}",
+        "--field", "expr:random:1",
+    )
+    assert "repeats a vertex" in error
+    # Huge vertex labels name the same complex as labels 0..3.
+    tetra = tmp_path / "tetra.txt"
+    reports = []
+    for offset in (0, 10**30):
+        tetra.write_text("".join(
+            " ".join(str(offset + v) for v in face) + "\n"
+            for face in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+        ))
+        code, out, _ = run_cli(
+            capsys, "spectral", "--complex", f"file:{tetra}", "--field", "expr:random:1"
+        )
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
     # Argparse-level refusals get the same one-line JSON diagnostic.
     error = bad_input(
         capsys, "homology", "--complex", "torus:3:3", "--field", "expr:bump", "--class", "all"
@@ -312,12 +354,17 @@ def test_bounds_iterate_step_cap(capsys):
     assert "--n" in error and "10000000" in error and "10000001" in error
 
 
-@pytest.mark.parametrize("family", ["translate:0", "perturb:0.1:0", "constant:0"])
-def test_empty_sweep_family_rejected(capsys, family):
+@pytest.mark.parametrize("family", [
+    "translate:0", "perturb:0.1:0", "constant:0",
+    "perturb:0.2:3:3:99", "translate:3:4", "perturb:nan:3", "perturb:0.1:3:x", "wobble:3",
+])
+def test_empty_sweep_family_rejected(capsys, monkeypatch, family):
+    # Refused before any Morse complex is built.
+    monkeypatch.setattr(morse.MorseComplex, "from_field", None)
     error = bad_input(
         capsys, "sweep", "--complex", "torus:4:4", "--field", "expr:bump", "--family", family
     )
-    assert f"--family {family!r}" in error
+    assert f"--family {family!r}" in error and "int()" not in error
 
 
 @pytest.mark.parametrize(
@@ -445,7 +492,8 @@ README_INPUTS = {
 
 
 # sha256 of each README command's stdout without its final newline, in
-# README order, then of one selected class; reports must stay byte-identical.
+# README order, then of one selected class and of the perturb and constant
+# sweep families; reports must stay byte-identical.
 README_DIGESTS = [
     "e0dc60ababb37a4db004a4c304a91326a4e5940da76371a685a39c2ff2648dc6",
     "f375198557b278ef18c70baa72ef16a54c5b9ee495aa9fefa0fbbd187977cf90",
@@ -457,6 +505,8 @@ README_DIGESTS = [
     "0cc35a377b0339b4492085b46f85384b5c2e62d761f256d35c17cdbb53c63e2d",
     "f0e542e361d91ab186044327085543bc3d26b4d93eae6ecc746029fca8189b86",
     "cfdc5a21de32ec27a2b2745327b0384ef6a9a2d2aa119d150a8aa02e29576cba",
+    "7820fed9e0c935e31f5a0d19939eb362e80f491d50013aeb2e6e897702ac6b1f",
+    "7c5c6601ea0e027ad368615456f9b8d74139775a6a3b7cb15f88ced4ed2b991a",
 ]
 
 
@@ -474,6 +524,11 @@ def test_readme_commands(capsys, tmp_path, monkeypatch):
     commands.append(
         "spectral --complex torus:4:4 --field expr:random:3 --class grade:1:index:1".split()
     )
+    # The README pins the translate family; these pin the other two kinds.
+    commands += [line.split() for line in (
+        "sweep --complex torus:4:4 --field expr:bump --family perturb:0.2:6:3 --class point",
+        "sweep --complex torus:3:3 --field expr:random:5 --family constant:4 --class point",
+    )]
     # The dyadic grids of test_compare_fields_and_trials.
     (tmp_path / "a.csv").write_text("0,0.25,0.5\n0.125,0.375,0.625\n0.75,0.875,1.0\n")
     (tmp_path / "b.csv").write_text("0.5,0.75,1.0\n0.625,0.875,1.125\n1.25,1.375,1.5\n")

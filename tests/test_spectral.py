@@ -1,9 +1,11 @@
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 
+import morsespec.fields
 import morsespec.homology as fullh
 from conftest import cycle_graph, dyadic_field, shifted, tetra_boundary
 from morsespec import (
@@ -15,16 +17,16 @@ from morsespec import (
     chain_action,
     exhaustive_spectral_value,
     homology_basis,
-    invariance_sweep,
     lipschitz_check,
     make_field,
     rho,
     spectral_gap,
     spectral_value,
     spectrum,
+    sweep,
 )
 from morsespec.complex import torus_vertex_id
-from morsespec.errors import ChainError, ComplexMismatchError, SpectrumMismatchError
+from morsespec.errors import ChainError, ComplexMismatchError
 from morsespec.fields import translate_field
 from morsespec.homology import HomologyClass
 
@@ -310,8 +312,8 @@ def test_invariance_translate_family():
     family = [translate_field(fld, k, 0) for k in range(5)]
     family += [translate_field(fld, 0, k) for k in range(4)]
     mcs = [MorseComplex.from_field(cx, f) for f in family]
-    for Y in [point_class(cx), fundamental_class(cx)] + fullh.homology_basis(cx)[1]:
-        res = invariance_sweep(mcs, Y)
+    Ys = [point_class(cx), fundamental_class(cx)] + fullh.homology_basis(cx)[1]
+    for res in sweep(mcs, Ys):
         assert res.constant
 
 
@@ -319,8 +321,8 @@ def test_invariance_constant_family():
     cx = build_torus_grid(3, 3)
     fld = dyadic_field(cx, random.Random(34))
     mcs = [MorseComplex.from_field(cx, f) for f in (fld, fld, fld)]
-    res = invariance_sweep(mcs, point_class(cx))
-    assert res.constant and len(res.values) == 3
+    (res,) = sweep(mcs, [point_class(cx)])
+    assert res.constant and len(res.rho_values) == 3
 
 
 def test_invariance_rejects_spectrum_mismatch():
@@ -328,10 +330,10 @@ def test_invariance_rejects_spectrum_mismatch():
     cx = build_torus_grid(3, 3)
     f = dyadic_field(cx, rng)
     g = dyadic_field(cx, rng)
-    with pytest.raises(SpectrumMismatchError):
-        invariance_sweep(
-            [MorseComplex.from_field(cx, f), MorseComplex.from_field(cx, g)], point_class(cx)
-        )
+    (res,) = sweep(
+        [MorseComplex.from_field(cx, f), MorseComplex.from_field(cx, g)], [point_class(cx)]
+    )
+    assert res.spectra_equal is False and res.constant is None
 
 
 def test_queries_reject_two_cell_complexes():
@@ -342,9 +344,63 @@ def test_queries_reject_two_cell_complexes():
     with pytest.raises(ComplexMismatchError):
         lipschitz_check(mc1, mc2, point_class(cx1))
     with pytest.raises(ComplexMismatchError):
-        invariance_sweep([mc1, mc2], point_class(cx1))
+        sweep([mc1, mc2], [point_class(cx1)])
     with pytest.raises(ComplexMismatchError):
         rho(mc2, point_class(cx1))  # Y belongs to the other complex
+
+
+def test_sweep_streams_families(monkeypatch):
+    rng = random.Random(38)
+    cx = build_torus_grid(4, 4)
+    base = dyadic_field(cx, rng)
+
+    # sweep holds at most the previous and the current Morse complex.
+    live = peak = 0
+
+    def dropped():
+        nonlocal live
+        live -= 1
+
+    def built():
+        nonlocal live, peak
+        for fld in morsespec.fields.family(base, "perturb:0.5:12"):
+            mc = MorseComplex.from_field(cx, fld)
+            weakref.finalize(mc, dropped)
+            live += 1
+            peak = max(peak, live)
+            yield mc
+
+    Ys = [point_class(cx), fundamental_class(cx)] + fullh.homology_basis(cx)[1]
+    reports = sweep(built(), Ys)
+    assert [len(rep.rho_values) for rep in reports] == [12] * len(Ys)
+    assert peak == 2
+
+    # The spec is checked up front, but no field is built until asked for.
+    def no_field(*args):
+        raise AssertionError("a field was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(morsespec.fields, "make_field", no_field)
+        specs = ("constant:10000", "translate:10000", "perturb:1:10000")
+        constant, translate, _ = (morsespec.fields.family(base, spec) for spec in specs)
+        assert next(constant) is base
+        with pytest.raises(AssertionError, match="a field was built"):
+            next(translate)
+
+    # Lazily, each kind gives the fields it gave as an eager list.
+    seeded = random.Random(7)
+    g = [seeded.random() for _ in range(cx.n_vertices)]
+    eager = {
+        "translate:4": [translate_field(base, k, 0) for k in range(4)],
+        "constant:5": [base] * 5,
+        "perturb:0.25:5:7": [
+            make_field(cx, [a + eps * b for a, b in zip(base.vertex_values, g)])
+            for eps in (0.25 * i / 4 for i in range(5))
+        ],
+    }
+    for spec, fields in eager.items():
+        got = [fld.vertex_values for fld in morsespec.fields.family(base, spec)]
+        assert got == [fld.vertex_values for fld in fields], spec
 
 
 def anisotropic_bump(cx, cx0, cy0, wx, wy):
@@ -373,6 +429,5 @@ def test_invariance_fine_step_bump_family():
     step = max(c0_distance(a, b) for a, b in zip(family, family[1:]))
     assert step < gap  # the family really is fine relative to its spectrum
     mcs = [MorseComplex.from_field(cx, f) for f in family]
-    for Y in (point_class(cx), fundamental_class(cx)):
-        res = invariance_sweep(mcs, Y)
+    for res in sweep(mcs, [point_class(cx), fundamental_class(cx)]):
         assert res.constant
