@@ -116,11 +116,15 @@ def from_bits(bits: Iterable[int]) -> int:
 
 
 def to_bits(v: int) -> list[int]:
+    """Indices of the set bits of v, ascending; one step per set bit.
+
+    A negative v has no finite set of bits and raises ValueError.
+    """
+    if v < 0:
+        raise ValueError(f"negative vector {v} has no finite set of bits")
     out = []
-    i = 0
     while v:
-        if v & 1:
-            out.append(i)
-        v >>= 1
-        i += 1
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
     return out

@@ -11,9 +11,11 @@ Two linear maps connect the Morse complex with the full complex:
 * ``DiscreteGradient.flow_down`` pushes an arbitrary chain down along the
   matching until it is supported on critical cells (replace a matched cell by
   the other faces of its partner coface, iterate); it is a chain map.
-* ``DiscreteGradient.expand`` inflates a chain of critical cells by
-  repeatedly cancelling matched cells from its boundary; the result is a
-  chain in the full complex whose boundary again expands the Morse boundary.
+* ``DiscreteGradient.expand`` adds to a chain of critical cells the cofaces
+  that cancel matched cells from its boundary, each decided once in a
+  topological order of the V-paths.  The result is the unique such chain in
+  the full complex (two would differ by cofaces whose lower faces cancel in
+  pairs, which closes a V-path); its boundary expands the Morse boundary.
 
 ``project(expand(x)) = x`` holds on the nose, which makes the two maps a
 deformation-retract style equivalence realizing the matching's homology
@@ -30,7 +32,7 @@ from .complex import CellComplex, ScalarField
 from .errors import ChainError, ComplexBuildError, ComplexMismatchError, GradientCycleError
 from .homology import HomologyClass
 
-_GRAY = object()  # in-progress marker for the iterative flow traversal
+_GRAY = object()  # in-progress marker of the iterative depth-first traversals
 
 
 @dataclass(eq=False)
@@ -116,22 +118,41 @@ class DiscreteGradient:
     def expand(self, support) -> frozenset[int]:
         """Realize a chain of critical cells as a chain in the full complex.
 
-        Matched boundary cells are cancelled until none is left; the output
-        projects back to the input and its boundary expands the Morse one.
+        The boundary is computed once.  Its lower cells and the V-paths from
+        them (q -> the other lower faces of q's coface) are sorted
+        topologically; in that order each lower cell still in the boundary is
+        cancelled by adding its coface.  The output projects back to the input
+        and its boundary expands the Morse one.
         """
         chain = set(support)
         stray = chain - self.critical
         if stray:
             raise ChainError(f"chain touches non-critical cells {sorted(stray)}")
-        for _ in range(len(self.complex) + 1):
-            bd: set[int] = set()
-            for cid in chain:
-                bd.symmetric_difference_update(self.complex.cells[cid].faces)
-            kings = {self.pair_up[q] for q in bd if q in self.pair_up}
-            if not kings:
-                return frozenset(chain)
-            chain.symmetric_difference_update(kings)
-        raise GradientCycleError("expansion did not stabilize; matching has a cycle")
+        cells, up = self.complex.cells, self.pair_up
+        bd: set[int] = set()
+        for cid in chain:
+            bd.symmetric_difference_update(cells[cid].faces)
+        mark: dict[int, object] = {}
+        order: list[int] = []  # post-order: each cell after every cell it reaches
+        stack = [q for q in bd if q in up]
+        while stack:
+            q = stack.pop()
+            if mark.get(q) is _GRAY:
+                mark[q] = True
+                order.append(q)
+            elif q not in mark:
+                mark[q] = _GRAY
+                stack.append(q)
+                for f in cells[up[q]].faces:
+                    if f != q and f in up:
+                        if mark.get(f) is _GRAY:
+                            raise GradientCycleError(f"closed V-path at cell {f}")
+                        stack.append(f)
+        for q in reversed(order):
+            if q in bd:
+                chain.add(up[q])
+                bd.symmetric_difference_update(cells[up[q]].faces)
+        return frozenset(chain)
 
     # -- validation ----------------------------------------------------------
 

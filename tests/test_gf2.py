@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from morsespec import gf2
 
 
@@ -67,3 +69,12 @@ def test_solve_roundtrip():
 def test_bits_roundtrip():
     assert gf2.to_bits(gf2.from_bits([0, 3, 5])) == [0, 3, 5]
     assert gf2.to_bits(0) == []
+
+
+def test_to_bits_rejects_negative():
+    # A negative int has infinitely many set bits; the sign is checked
+    # before any loop, so this cannot hang.
+    with pytest.raises(ValueError, match="negative"):
+        gf2.to_bits(-1)
+    with pytest.raises(ValueError, match="negative"):
+        gf2.to_bits(-(1 << 70))

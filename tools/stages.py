@@ -1,0 +1,143 @@
+"""Wall time of the pipeline stages at fixed sizes, recorded in BENCH_8.json.
+
+Usage (from any directory, no flags, no environment variables):
+
+    python3 tools/stages.py
+
+It imports morsespec from the ``src/`` next to this file and times, on torus
+grids of 32², 64², 128² and 256² vertices under ``expr:random:1`` and
+``expr:bump``:
+
+* ``build_gradient`` and ``build_morse_complex``, as controls;
+* ``verify_d_squared`` + ``to_json_dict`` (both walk every boundary column
+  through ``gf2.to_bits``);
+* ``expand`` of every class of the Morse homology basis.
+
+A stage is repeated up to three times, until two seconds have gone by, and
+its fastest run is kept.  Each field also reports the 64²→128² and
+128²→256² ratios of every stage, where linear cost gives about 4, and its
+structural counters.
+
+The run is stored in ``BENCH_8.json`` at the checkout root under
+``runs[LABEL]``: LABEL is the git SHA of HEAD, with ``+worktree`` appended
+when ``src/`` differs from HEAD.  Everything else already in the file is
+kept, so the runs of other commits and any benchmark numbers recorded there
+survive a new run.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import platform
+import subprocess
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from morsespec import build_torus_grid, homology_basis, verify_d_squared  # noqa: E402
+from morsespec.fields import expression_field  # noqa: E402
+from morsespec.morse import build_gradient, build_morse_complex  # noqa: E402
+
+SIZES = (32, 64, 128, 256)
+FIELDS = ("random:1", "bump")
+STAGES = ("build_gradient", "build_morse_complex", "verify_d_squared+to_json_dict", "expand")
+OUT = ROOT / "BENCH_8.json"
+
+
+def timed(fn):
+    """(fastest wall time of up to three runs within two seconds, last result)."""
+    best, spent = float("inf"), 0.0
+    for _ in range(3):
+        gc.collect()
+        t0 = time.perf_counter()
+        out = fn()
+        dt = time.perf_counter() - t0
+        best = min(best, dt)
+        spent += dt
+        if spent >= 2.0:
+            break
+    return best, out
+
+
+def verify_and_dump(mc):
+    if not verify_d_squared(mc):
+        raise RuntimeError("Morse boundary does not square to zero")
+    return mc.to_json_dict()
+
+
+def measure(cx, name: str) -> tuple[dict, dict]:
+    fld = expression_field(cx, name)
+    sec = {}
+    sec["build_gradient"], g = timed(lambda: build_gradient(cx, fld))
+    # A copy of g starts with an empty flow memo, so no run reuses another's.
+    sec["build_morse_complex"], mc = timed(lambda: build_morse_complex(cx, fld, replace(g)))
+    sec["verify_d_squared+to_json_dict"], _ = timed(lambda: verify_and_dump(mc))
+    classes = [h for hs in homology_basis(mc).values() for h in hs]
+    sec["expand"], chains = timed(lambda: [g.expand(h.support) for h in classes])
+    counters = {
+        "cells": len(cx),
+        "critical": len(g.critical),
+        "basis_classes": len(classes),
+        "expand_cells_out": sum(len(c) for c in chains),
+    }
+    return sec, counters
+
+
+def git(*args: str) -> str | None:
+    try:
+        done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def main() -> int:
+    seconds = {f: {} for f in FIELDS}
+    counters = {f: {} for f in FIELDS}
+    for n in SIZES:
+        cx = build_torus_grid(n, n)
+        for f in FIELDS:
+            sec, cnt = measure(cx, f)
+            seconds[f][f"{n}x{n}"] = {k: round(v, 6) for k, v in sec.items()}
+            counters[f][f"{n}x{n}"] = cnt
+            print(f"{f:>9} {n:>3}² " + "  ".join(f"{k} {v:.4f}s" for k, v in sec.items()),
+                  flush=True)
+        del cx
+    ratios = {
+        f: {
+            f"{a}->{b}": {
+                s: round(seconds[f][f"{b}x{b}"][s] / seconds[f][f"{a}x{a}"][s], 2)
+                for s in STAGES
+            }
+            for a, b in ((64, 128), (128, 256))
+        }
+        for f in FIELDS
+    }
+    sha = git("rev-parse", "HEAD")
+    dirty = git("status", "--porcelain", "--", "src")
+    label = f"{sha}+worktree" if sha and dirty else sha or "unknown"
+    run = {
+        "git_sha": sha,
+        "src_modified": bool(dirty),
+        "python": platform.python_version(),
+        "src_lines": sum(
+            len(p.read_text().splitlines()) for p in (ROOT / "src" / "morsespec").glob("*.py")
+        ),
+        "seconds": seconds,
+        "ratios": ratios,
+        "counters": counters,
+    }
+    doc = json.loads(OUT.read_text()) if OUT.is_file() else {}
+    doc.setdefault("runs", {})[label] = run
+    OUT.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {OUT.name} runs[{label!r}]")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
