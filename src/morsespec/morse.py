@@ -3,18 +3,19 @@
 The gradient is an acyclic matching of cells with cofaces built greedily
 inside each lower star (the cells whose order-maximal vertex is a given
 vertex).  Unmatched cells are critical.  The boundary operator of the Morse
-complex counts alternating paths along the matching mod 2; counting is done
-by a memoized traversal of the matching digraph, never by enumerating paths.
+complex counts alternating paths along the matching mod 2: it is the flow of
+each critical cell's boundary, one topological walk of the V-paths (q -> the
+other faces of q's coface) per chain, never an enumeration of paths.
 
-Two linear maps connect the Morse complex with the full complex:
+Two linear maps connect the Morse complex with the full complex, both on that
+walk, which decides each matched lower cell once, upstream first:
 
-* ``DiscreteGradient.flow_down`` pushes an arbitrary chain down along the
-  matching until it is supported on critical cells (replace a matched cell by
-  the other faces of its partner coface, iterate); it is a chain map.
+* ``DiscreteGradient.flow_down`` replaces each matched lower cell still in the
+  chain by the other faces of its coface and keeps the critical cells; it is
+  a chain map.
 * ``DiscreteGradient.expand`` adds to a chain of critical cells the cofaces
-  that cancel matched cells from its boundary, each decided once in a
-  topological order of the V-paths.  The result is the unique such chain in
-  the full complex (two would differ by cofaces whose lower faces cancel in
+  the walk uses on its boundary.  The result is the unique such chain in the
+  full complex (two would differ by cofaces whose lower faces cancel in
   pairs, which closes a V-path); its boundary expands the Morse boundary.
 
 ``project(expand(x)) = x`` holds on the nose, which makes the two maps a
@@ -32,7 +33,7 @@ from .complex import CellComplex, ScalarField
 from .errors import ChainError, ComplexBuildError, ComplexMismatchError, GradientCycleError
 from .homology import HomologyClass
 
-_GRAY = object()  # in-progress marker of the iterative depth-first traversals
+_GRAY = object()  # in-progress marker of the V-path walk
 
 
 @dataclass(eq=False)
@@ -51,90 +52,19 @@ class DiscreteGradient:
     critical: frozenset[int]
     tie_break: str = "id"
 
-    def __post_init__(self):
-        self._phi: dict[int, object] = {}
+    # -- the V-path walk ----------------------------------------------------
 
-    def vertex_key(self, v: int):
-        val = self.field.vertex_values[v]
-        return (val, v) if self.tie_break == "id" else (val, -v)
+    def _vpath_order(self, starts) -> list[int]:
+        """Matched lower cells reachable from ``starts``, in post-order.
 
-    def max_vertex(self, cell_id: int) -> int:
-        return max(self.complex.cells[cell_id].vertices, key=self.vertex_key)
-
-    # -- flow along the matching -------------------------------------------
-
-    def flow_down(self, support) -> frozenset[int]:
-        """Image of a chain under the projection onto critical cells."""
-        out: set[int] = set()
-        for cid in support:
-            out.symmetric_difference_update(self._flow_cell(cid))
-        return frozenset(out)
-
-    def _flow_cell(self, cell_id: int) -> frozenset[int]:
-        """Critical chain reached from one cell, memoized over the digraph.
-
-        A critical cell maps to itself, an upper partner to zero, and a lower
-        partner to the sum of flows of the other faces of its coface.
+        The V-path digraph has an edge q -> f for every other face f of q's
+        coface that is itself a matched lower cell.  Each cell comes after
+        every cell it reaches; a back edge closes a V-path and raises.
         """
-        memo = self._phi
-        got = memo.get(cell_id)
-        if isinstance(got, frozenset):
-            return got
-        stack = [cell_id]
-        while stack:
-            c = stack[-1]
-            entry = memo.get(c)
-            if isinstance(entry, frozenset):
-                stack.pop()
-                continue
-            if c in self.critical:
-                memo[c] = frozenset((c,))
-                stack.pop()
-                continue
-            if c in self.pair_down:
-                memo[c] = frozenset()
-                stack.pop()
-                continue
-            king = self.pair_up[c]
-            deps = [f for f in self.complex.cells[king].faces if f != c]
-            if entry is _GRAY:
-                acc: set[int] = set()
-                for f in deps:
-                    acc.symmetric_difference_update(memo[f])
-                memo[c] = frozenset(acc)
-                stack.pop()
-                continue
-            memo[c] = _GRAY
-            for f in deps:
-                sub = memo.get(f)
-                if sub is _GRAY:
-                    raise GradientCycleError(
-                        f"closed V-path through cells {c} and {f}"
-                    )
-                if not isinstance(sub, frozenset):
-                    stack.append(f)
-        return memo[cell_id]
-
-    def expand(self, support) -> frozenset[int]:
-        """Realize a chain of critical cells as a chain in the full complex.
-
-        The boundary is computed once.  Its lower cells and the V-paths from
-        them (q -> the other lower faces of q's coface) are sorted
-        topologically; in that order each lower cell still in the boundary is
-        cancelled by adding its coface.  The output projects back to the input
-        and its boundary expands the Morse one.
-        """
-        chain = set(support)
-        stray = chain - self.critical
-        if stray:
-            raise ChainError(f"chain touches non-critical cells {sorted(stray)}")
         cells, up = self.complex.cells, self.pair_up
-        bd: set[int] = set()
-        for cid in chain:
-            bd.symmetric_difference_update(cells[cid].faces)
         mark: dict[int, object] = {}
-        order: list[int] = []  # post-order: each cell after every cell it reaches
-        stack = [q for q in bd if q in up]
+        order: list[int] = []
+        stack = [q for q in starts if q in up]
         while stack:
             q = stack.pop()
             if mark.get(q) is _GRAY:
@@ -148,10 +78,47 @@ class DiscreteGradient:
                         if mark.get(f) is _GRAY:
                             raise GradientCycleError(f"closed V-path at cell {f}")
                         stack.append(f)
-        for q in reversed(order):
-            if q in bd:
-                chain.add(up[q])
-                bd.symmetric_difference_update(cells[up[q]].faces)
+        return order
+
+    def _descend(self, chain: set[int]) -> list[int]:
+        """Cancel every matched lower cell of ``chain`` in place.
+
+        Upstream cells come first, so a cell is decided once, after every
+        cell that can still toggle it: if it is in the chain, the faces of
+        its coface are added.  Returns the cofaces used.
+        """
+        cells, up = self.complex.cells, self.pair_up
+        used = []
+        for q in reversed(self._vpath_order(chain)):
+            if q in chain:
+                used.append(up[q])
+                chain.symmetric_difference_update(cells[up[q]].faces)
+        return used
+
+    # -- flow along the matching -------------------------------------------
+
+    def flow_down(self, support) -> frozenset[int]:
+        """Image of a chain under the projection onto critical cells."""
+        chain = set(support)
+        self._descend(chain)
+        return self.critical.intersection(chain)
+
+    def expand(self, support) -> frozenset[int]:
+        """Realize a chain of critical cells as a chain in the full complex.
+
+        The cofaces that cancel the matched lower cells of the chain's
+        boundary are added; the output projects back to the input and its
+        boundary expands the Morse one.
+        """
+        chain = set(support)
+        stray = chain - self.critical
+        if stray:
+            raise ChainError(f"chain touches non-critical cells {sorted(stray)}")
+        cells = self.complex.cells
+        bd: set[int] = set()
+        for cid in chain:
+            bd.symmetric_difference_update(cells[cid].faces)
+        chain.update(self._descend(bd))
         return frozenset(chain)
 
     # -- validation ----------------------------------------------------------
@@ -159,6 +126,7 @@ class DiscreteGradient:
     def validate(self) -> None:
         """Check matching invariants and acyclicity; raise on failure."""
         cx = self.complex
+        vkey = _vertex_order(self.field, self.tie_break)
         seen = set(self.critical)
         for q, k in self.pair_up.items():
             if self.pair_down.get(k) != q:
@@ -171,36 +139,18 @@ class DiscreteGradient:
                 raise ComplexBuildError(f"pair ({q},{k}) is not a face-coface pair")
             if self.field.cell_values[q] != self.field.cell_values[k]:
                 raise ComplexBuildError(f"pair ({q},{k}) crosses a level set")
-            if self.max_vertex(q) != self.max_vertex(k):
+            if max(cx.cells[q].vertices, key=vkey) != max(cx.cells[k].vertices, key=vkey):
                 raise ComplexBuildError(f"pair ({q},{k}) crosses lower stars")
         if len(seen) != len(cx):
             raise ComplexBuildError("matching plus critical cells do not cover")
-        self._check_acyclic()
+        self._vpath_order(self.pair_up)
 
-    def _check_acyclic(self) -> None:
-        color: dict[int, int] = {}
-        for start in self.pair_up:
-            if color.get(start, 0) == 2:
-                continue
-            stack = [start]
-            while stack:
-                q = stack[-1]
-                state = color.get(q, 0)
-                succ = [
-                    f
-                    for f in self.complex.cells[self.pair_up[q]].faces
-                    if f != q and f in self.pair_up
-                ]
-                if state == 0:
-                    color[q] = 1
-                    for f in succ:
-                        if color.get(f, 0) == 1:
-                            raise GradientCycleError(f"closed V-path at cell {f}")
-                        if color.get(f, 0) == 0:
-                            stack.append(f)
-                else:
-                    color[q] = 2
-                    stack.pop()
+
+def _vertex_order(fld: ScalarField, tie_break: str):
+    """Sort key of the vertex order: value, then id ("id") or -id ("reverse-id")."""
+    sgn = 1 if tie_break == "id" else -1
+    values = fld.vertex_values
+    return lambda v: (values[v], sgn * v)
 
 
 def build_gradient(
@@ -220,8 +170,7 @@ def build_gradient(
     if tie_break not in ("id", "reverse-id"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
     sgn = 1 if tie_break == "id" else -1
-    values = fld.vertex_values
-    vkey = lambda v: (values[v], sgn * v)
+    vkey = _vertex_order(fld, tie_break)
 
     star: dict[int, list[int]] = {}
     for c in cx.cells:
@@ -348,15 +297,15 @@ class MorseComplex:
         return [self.field.cell_values[c] for c in self.cells(grade)]
 
     def position(self, cell_id: int) -> tuple[int, int]:
-        return self._pos[cell_id]
+        try:
+            return self._pos[cell_id]
+        except KeyError:
+            raise ChainError(f"cell {cell_id} is not critical here") from None
 
     def mask(self, grade: int, support) -> int:
         v = 0
         for cid in support:
-            try:
-                k, i = self._pos[cid]
-            except KeyError:
-                raise ChainError(f"cell {cid} is not critical here") from None
+            k, i = self.position(cid)
             if k != grade:
                 raise ChainError(f"cell {cid} has grade {k}, expected {grade}")
             v |= 1 << i
@@ -411,8 +360,9 @@ def build_morse_complex(
     """Assemble the Morse complex of a gradient.
 
     Boundary entries are parities of alternating paths from the faces of a
-    critical cell down to critical cells one dimension lower, computed by
-    ``flow_down``.  A cycle in the matching surfaces as GradientCycleError.
+    critical cell down to critical cells one dimension lower: ``flow_down``
+    of the faces, one topological walk of the V-paths they reach.  A cycle
+    in the matching surfaces as GradientCycleError.
     """
     if gradient.complex is not cx or gradient.field is not fld:
         raise ComplexMismatchError("gradient belongs to a different complex or field")

@@ -2,10 +2,12 @@
 
 ``gf2.to_bits`` strips the lowest set bit per step; the reference here is
 the shift loop that visits every bit position up to the top bit.
-``DiscreteGradient.expand`` decides each matched cell once, in a topological
-order of the V-paths; the reference is the round-based loop that recomputes
-the boundary of the whole chain and toggles every coface it asks for, until
-no matched cell is left in the boundary.  Both must agree with ``==``.
+``DiscreteGradient.flow_down`` and ``expand`` decide each matched cell once,
+in a topological order of the V-paths.  The reference for ``flow_down``
+replaces every matched lower cell of the chain by the other faces of its
+coface, round by round; the reference for ``expand`` recomputes the boundary
+of the whole chain and toggles every coface it asks for, until no matched
+cell is left in the boundary.  All must agree with ``==``.
 """
 
 import random
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import morsespec.homology as fullh
 from conftest import dyadic_field
 from morsespec import build_from_simplicial, build_torus_grid, gf2, make_field
 from morsespec.errors import GradientCycleError
@@ -30,6 +33,18 @@ def shift_loop_bits(v):
         v >>= 1
         i += 1
     return out
+
+
+def round_based_flow_down(g, support):
+    """Replace matched lower cells round by round; keep the critical cells."""
+    chain = set(support)
+    for _ in range(len(g.complex) + 1):
+        lower = [q for q in chain if q in g.pair_up]
+        if not lower:
+            return frozenset(chain & g.critical)
+        for q in lower:
+            chain.symmetric_difference_update(g.complex.cells[g.pair_up[q]].faces)
+    raise GradientCycleError("projection did not stabilize; matching has a cycle")
 
 
 def round_based_expand(g, support):
@@ -78,15 +93,31 @@ def check_expand(g, rng):
     return added
 
 
+def check_flow_down(g, rng):
+    """flow_down equals the round-based route on the faces of every critical
+    cell, on every full homology basis class and on random subsets of one
+    dimension's cells; returns the number of chains it moved."""
+    cx = g.complex
+    chains = [cx.cells[c].faces for c in sorted(g.critical)]
+    chains += [Y.support for ys in fullh.homology_basis(cx).values() for Y in ys]
+    for d in range(cx.top_dim + 1):
+        cells = [c.id for c in cx.cells_of_dim(d)]
+        chains += [rng.sample(cells, rng.randint(0, len(cells))) for _ in range(3)]
+    moved = 0
+    for chain in chains:
+        got = g.flow_down(chain)
+        assert got == round_based_flow_down(g, chain)
+        moved += got != g.critical.intersection(chain)
+    return moved
+
+
 def plateau_field(cx, rng):
     """Three distinct values over all vertices: most cells tie."""
     return make_field(cx, [rng.randrange(3) / 4 for _ in range(cx.n_vertices)])
 
 
-@pytest.mark.parametrize("field", ["random", "bump", "plateau"])
-def test_expand_matches_round_based_on_tori(field):
-    rng = random.Random(8)
-    added = 0
+def torus_gradients(field, rng):
+    """Gradients on tori 2² to 24² of a random, bump or plateau field."""
     for n in range(2, 25):
         cx = build_torus_grid(n, n)
         if field == "random":
@@ -95,20 +126,40 @@ def test_expand_matches_round_based_on_tori(field):
             fld = expression_field(cx, "bump")
         else:
             fld = plateau_field(cx, rng)
-        added += check_expand(build_gradient(cx, fld), rng)
-    assert added > 0
+        yield build_gradient(cx, fld)
+
+
+def corpus_gradients(corpus, field, rng):
+    """Gradients of the corpus fields (or plateau fields) under both tie-breaks."""
+    for cx, fld in corpus:
+        if field == "plateau":
+            fld = plateau_field(cx, rng)
+        for tie_break in ("id", "reverse-id"):
+            yield build_gradient(cx, fld, tie_break)
+
+
+@pytest.mark.parametrize("field", ["random", "bump", "plateau"])
+def test_expand_matches_round_based_on_tori(field):
+    rng = random.Random(8)
+    assert sum(check_expand(g, rng) for g in torus_gradients(field, rng)) > 0
 
 
 @pytest.mark.parametrize("field", ["random", "plateau"])
 def test_expand_matches_round_based_on_corpus(field, corpus):
     rng = random.Random(9)
-    added = 0
-    for cx, fld in corpus:
-        if field == "plateau":
-            fld = plateau_field(cx, rng)
-        for tie_break in ("id", "reverse-id"):
-            added += check_expand(build_gradient(cx, fld, tie_break), rng)
-    assert added > 0
+    assert sum(check_expand(g, rng) for g in corpus_gradients(corpus, field, rng)) > 0
+
+
+@pytest.mark.parametrize("field", ["random", "bump", "plateau"])
+def test_flow_down_matches_round_based_on_tori(field):
+    rng = random.Random(10)
+    assert sum(check_flow_down(g, rng) for g in torus_gradients(field, rng)) > 0
+
+
+@pytest.mark.parametrize("field", ["random", "plateau"])
+def test_flow_down_matches_round_based_on_corpus(field, corpus):
+    rng = random.Random(11)
+    assert sum(check_flow_down(g, rng) for g in corpus_gradients(corpus, field, rng)) > 0
 
 
 def test_cycle_reached_through_a_king_is_detected():
@@ -129,5 +180,11 @@ def test_cycle_reached_through_a_king_is_detected():
         g.expand(chain)
     with pytest.raises(GradientCycleError):
         round_based_expand(g, chain)
+    faces = cx.cells[edges[(3, 4)]].faces
+    with pytest.raises(GradientCycleError):
+        g.flow_down(faces)
+    with pytest.raises(GradientCycleError):
+        round_based_flow_down(g, faces)
     # The critical vertex alone reaches no matched cell.
     assert g.expand({4}) == frozenset({4})
+    assert g.flow_down({4}) == frozenset({4})

@@ -6,6 +6,7 @@ import morsespec.homology as fullh
 from conftest import cycle_graph, dyadic_field, random_instance, tetra_boundary
 from morsespec import (
     MorseComplex,
+    build_from_simplicial,
     build_gradient,
     build_morse_complex,
     build_torus_grid,
@@ -16,7 +17,9 @@ from morsespec import (
     verify_d_squared,
 )
 from morsespec.errors import ChainError, GradientCycleError
+from morsespec.fields import expression_field
 from morsespec.homology import HomologyClass, boundary_support
+from morsespec.morse import DiscreteGradient
 
 
 def pipeline(cx, fld, tie_break="id"):
@@ -146,23 +149,34 @@ def test_d_squared_vacuous_on_empty():
 def test_cycle_detected_in_forged_matching():
     # hand-build a cyclic matching: triangle vertices each paired with the
     # next edge around, plus a pendant edge whose flow enters the loop
-    cx = __import__("morsespec").build_from_simplicial(
-        [[0, 1], [1, 2], [0, 2], [2, 3]]
-    )
+    cx = build_from_simplicial([[0, 1], [1, 2], [0, 2], [2, 3]])
     fld = make_field(cx, [0.0, 0.0, 0.0, 0.0])
     edges = {tuple(c.vertices): c.id for c in cx.cells_of_dim(1)}
     pair_up = {0: edges[(0, 1)], 1: edges[(1, 2)], 2: edges[(0, 2)]}
     pair_down = {v: k for k, v in pair_up.items()}
-    from morsespec.morse import DiscreteGradient
-
     critical = frozenset({3, edges[(2, 3)]})
     g = DiscreteGradient(cx, fld, pair_up, pair_down, critical)
     with pytest.raises(GradientCycleError):
         build_morse_complex(cx, fld, g)
     with pytest.raises(GradientCycleError):
         g.expand(frozenset({edges[(2, 3)]}))
+
+
+def test_validate_detects_a_closed_v_path():
+    # A cone over a triangle, apex 3 on top.  Each apex edge is paired with
+    # the next cone triangle, 03 -> 013 -> 13 -> 123 -> 23 -> 023 -> 03; every
+    # pair lies on one level set and in the apex's lower star, and all other
+    # cells are critical, so only the acyclicity check can fail.
+    cx = build_from_simplicial([[0, 1, 3], [1, 2, 3], [0, 2, 3]])
+    fld = make_field(cx, [0.0, 0.0, 0.0, 1.0])
+    ids = {tuple(c.vertices): c.id for c in cx.cells}
+    pair_up = {ids[(0, 3)]: ids[(0, 1, 3)], ids[(1, 3)]: ids[(1, 2, 3)],
+               ids[(2, 3)]: ids[(0, 2, 3)]}
+    pair_down = {k: q for q, k in pair_up.items()}
+    critical = frozenset(range(len(cx))) - set(pair_up) - set(pair_down)
+    g = DiscreteGradient(cx, fld, pair_up, pair_down, critical)
     with pytest.raises(GradientCycleError):
-        g._check_acyclic()
+        g.validate()
 
 
 # ------------------------------------------------------------ homology
@@ -303,6 +317,19 @@ def test_same_class_detects_boundaries():
         bd = mc.unmask(1, col)
         (Z,) = homology_basis(mc)[1][:1]
         assert same_class(mc, Z.support, Z.support ^ bd)
+
+
+def test_non_critical_cell_is_a_chain_error():
+    cx = build_torus_grid(3, 3)
+    mc = MorseComplex.from_field(cx, expression_field(cx, "random:1"))
+    c = next(c for c in range(len(cx)) if c not in mc.gradient.critical)
+    for query in (
+        lambda: mc.position(c),
+        lambda: mc.mask(cx.cells[c].dim, {c}),
+        lambda: same_class(mc, {c}, set()),
+    ):
+        with pytest.raises(ChainError, match=f"cell {c} is not critical here"):
+            query()
 
 
 def test_random_instances_pipeline_smoke():
