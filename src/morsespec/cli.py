@@ -173,10 +173,12 @@ def _compare_one(cx, fa, fb, classes) -> list[dict]:
 
 
 def _cmd_compare(args) -> int:
-    cx = _parse_complex(args.complex)
-    classes = _resolve_classes(cx, args.cls)
     if args.trials < 0:
         raise MorsespecError(f"--trials must be >= 0, got {args.trials}")
+    if args.trials > 0 and (args.field_a is not None or args.field_b is not None):
+        raise MorsespecError("--trials draws random fields; it cannot take --field-a/--field-b")
+    cx = _parse_complex(args.complex)
+    classes = _resolve_classes(cx, args.cls)
     if args.trials > 0:
         rng = random.Random(args.seed)
         # A generator: only one field pair is alive at a time.

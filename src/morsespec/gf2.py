@@ -3,9 +3,9 @@
 A vector is a Python int; bit i is coordinate i.  Column reduction keeps at
 most one column per pivot (the highest set bit), processing columns in the
 order given, so every routine here is deterministic.  ``reduce_vector`` is
-the one elimination loop: ``kernel_basis`` tracks combinations by reducing
-augmented columns whose low bits carry them, and ``cycle_basis`` is the
-homology basis step both homology modules share, with clearing.
+the one elimination loop: ``reduce_boundary`` reduces augmented columns whose
+low bits carry the combination and returns the kernel and the pivot rows, so
+a homology basis reduces each boundary matrix once (clearing).
 """
 
 from __future__ import annotations
@@ -64,12 +64,19 @@ def in_span(v: int, ech: dict[int, int]) -> bool:
 
 
 def kernel_basis(columns: list[int], skip: Container[int] = ()) -> list[int]:
-    """Combination masks c with XOR of {columns[j] : bit j of c} = 0.
+    """The kernel masks of ``reduce_boundary``: a basis of the kernel, in column order."""
+    return reduce_boundary(columns, skip)[0]
 
-    One mask per dependent column, in column order: a basis of the kernel.
-    Column j is reduced as the augmented vector ``(columns[j] << n) | 1 << j``;
-    once its column part cancels, the low n bits hold its combination.
-    Columns whose index is in ``skip`` are left out.
+
+def reduce_boundary(columns: list[int], skip: Container[int] = ()) -> tuple[list[int], set[int]]:
+    """(kernel masks, pivot rows) of the columns whose index is not in skip.
+
+    A mask c has XOR of {columns[j] : bit j of c} = 0.  Column j is reduced as
+    ``(columns[j] << n) | 1 << j``; once its column part cancels, the low n
+    bits hold its combination, whose top bit is j.  The pivot rows are the
+    keys of ``echelonize`` on the same columns.  Clearing (Chen-Kerber): a
+    pivot row j of the boundary into a grade is the top bit of a cycle, so
+    column j of the grade's own boundary is dependent and may be skipped.
     """
     n = len(columns)
     ech: dict[int, int] = {}
@@ -82,17 +89,7 @@ def kernel_basis(columns: list[int], skip: Container[int] = ()) -> list[int]:
             ech[pivot(v)] = v
         else:
             out.append(v)
-    return out
-
-
-def cycle_basis(d_in: list[int], boundary_ech: dict[int, int]) -> list[int]:
-    """Kernel masks of d_in that extend boundary_ech to a basis of the cycles.
-
-    Clearing (Chen-Kerber): a pivot j of boundary_ech is the top bit of a
-    cycle, so column j of d_in is dependent; skipping it changes no other
-    column's reduction.  boundary_ech itself is not modified.
-    """
-    return extend(dict(boundary_ech), kernel_basis(d_in, skip=boundary_ech.keys()))
+    return out, {p - n for p in ech}
 
 
 def solve(columns: list[int], target: int) -> int | None:

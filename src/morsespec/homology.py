@@ -3,8 +3,8 @@
 This is the slow-but-simple route: no matchings, no flow, just column
 reduction of the incidence matrices.  It serves as the reference computation
 against which the Morse-complex route is checked, and it supplies canonical
-homology classes for class selectors.  Those come from ``gf2.cycle_basis``,
-the cleared reduction that ``morse.homology_basis`` shares.
+homology classes for class selectors: one walk down the grades reduces each
+boundary matrix once, skipping the columns that the grade above cleared.
 
 Chains over the full complex are frozensets of cell ids.  Internally each
 dimension's cells are indexed in id order and chains become int bitmasks;
@@ -14,6 +14,7 @@ kernel combination masks are themselves chains.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 from . import gf2
@@ -53,15 +54,14 @@ class _DimIndex:
 
 
 def boundary_columns(
-    cx: CellComplex, dim: int, index: _DimIndex | None = None
+    cx: CellComplex, dim: int, index: _DimIndex | None = None, skip: Container[int] = ()
 ) -> list[int]:
-    """Columns of the boundary matrix from dim-cells to (dim-1)-cells."""
-    idx = index if index is not None else _DimIndex(cx, dim - 1)
-    cols = []
-    for c in cx.cells:
-        if c.dim == dim:
-            cols.append(gf2.from_bits(idx.pos[f] for f in c.faces))
-    return cols
+    """Columns of the boundary matrix from dim-cells to (dim-1)-cells; those in skip are 0."""
+    pos = (index if index is not None else _DimIndex(cx, dim - 1)).pos
+    return [
+        0 if j in skip else gf2.from_bits(pos[f] for f in c.faces)
+        for j, c in enumerate(cx.cells_of_dim(dim))
+    ]
 
 
 def boundary_support(cx: CellComplex, support) -> frozenset[int]:
@@ -88,21 +88,21 @@ def betti_numbers(cx: CellComplex) -> list[int]:
 
 
 def homology_basis(cx: CellComplex) -> dict[int, list[HomologyClass]]:
-    """A deterministic homology basis per grade.
+    """A deterministic homology basis per grade, walking the grades top down.
 
-    Grade-d cycles come from ``gf2.cycle_basis`` on the d-th boundary matrix
-    (columns in id order): a kernel combination joins the basis when it is
-    independent of the boundaries and of previously accepted cycles.
+    Each boundary matrix (columns in id order) is reduced once: its kernel
+    masks, with the pivot rows of the grade above cleared, are the classes.
+    A mask's top bit is no boundary pivot, so the masks stay independent
+    modulo boundaries.
     """
     out: dict[int, list[HomologyClass]] = {}
-    for d in range(cx.top_dim + 1):
-        idx = _DimIndex(cx, d)
-        ech = gf2.echelonize(boundary_columns(cx, d + 1, idx))
-        out[d] = [
-            HomologyClass(d, idx.unmask(v), "full", owner=cx)
-            for v in gf2.cycle_basis(boundary_columns(cx, d), ech)
-        ]
-    return out
+    idx, cleared = _DimIndex(cx, cx.top_dim), set()
+    for d in range(cx.top_dim, -1, -1):
+        rows = _DimIndex(cx, d - 1)
+        cycles, cleared = gf2.reduce_boundary(boundary_columns(cx, d, rows, cleared), cleared)
+        out[d] = [HomologyClass(d, idx.unmask(v), "full", owner=cx) for v in cycles]
+        idx = rows
+    return dict(sorted(out.items()))
 
 
 def is_boundary(cx: CellComplex, grade: int, support) -> bool:

@@ -415,7 +415,7 @@ def homology_basis(mc: MorseComplex) -> dict[int, list[HomologyClass]]:
     """Per grade, a deterministic GF(2) basis of cycles modulo boundaries."""
     out: dict[int, list[HomologyClass]] = {}
     for k in range(mc.complex.top_dim + 1):
-        cycles = gf2.cycle_basis(mc.boundary.get(k, []), mc.boundary_echelon(k))
+        cycles = gf2.kernel_basis(mc.boundary.get(k, []), skip=mc.boundary_echelon(k).keys())
         out[k] = [HomologyClass(k, mc.unmask(k, v), "morse", owner=mc) for v in cycles]
     return out
 

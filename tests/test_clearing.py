@@ -1,10 +1,13 @@
-"""Cleared cycle bases against the uncleared route they replaced.
+"""Cleared homology bases against the uncleared route they replaced.
 
-``gf2.cycle_basis`` skips every column that is a pivot of the boundary
-echelon (clearing).  The reference here is the route without clearing:
-a kernel basis built by an explicit (column, combination) pair loop over
-every column, the echelon of the boundary matrix, then ``gf2.extend``.
-Both must give the same vectors in the same order, compared with ``==``.
+Both ``homology_basis`` routes skip every column that is a pivot row of the
+boundary from the grade above (clearing): the full-complex route walks the
+grades top down with ``gf2.reduce_boundary``, the Morse route uses the
+cached ``boundary_echelon``.  The reference here is the route without
+clearing: a kernel basis built by an explicit (column, combination) pair
+loop over every column, the echelon of the boundary matrix, then
+``gf2.extend``.  Both must give the same vectors in the same order,
+compared with ``==``.
 """
 
 import random
@@ -42,32 +45,30 @@ def uncleared_cycle_basis(d_in, d_out):
     return gf2.extend(gf2.echelonize(d_out), tuple_loop_kernel(d_in))
 
 
-def check_grade(d_in, d_out, ech):
-    """cycle_basis(d_in, ech) matches the reference and leaves ech alone."""
-    assert ech == gf2.echelonize(d_out)
-    before = dict(ech)
-    got = gf2.cycle_basis(d_in, ech)
-    assert got == uncleared_cycle_basis(d_in, d_out)
-    assert ech == before
-    return got
-
-
 def check_full_complex(cx):
     basis = fullh.homology_basis(cx)
-    for d in range(cx.top_dim + 1):
+    assert list(basis) == list(range(cx.top_dim + 1))
+    cleared = set()
+    for d in range(cx.top_dim, -1, -1):
         cells = [c.id for c in cx.cells if c.dim == d]
         d_in = fullh.boundary_columns(cx, d)
         d_out = fullh.boundary_columns(cx, d + 1)
-        cycles = check_grade(d_in, d_out, gf2.echelonize(d_out))
+        cycles = uncleared_cycle_basis(d_in, d_out)
         expected = [frozenset(cells[i] for i in gf2.to_bits(v)) for v in cycles]
         assert [h.support for h in basis[d]] == expected
+        # The cleared columns change no pivot: the next grade skips exactly
+        # the echelon pivots of this boundary matrix.
+        masks, cleared = gf2.reduce_boundary(d_in, cleared)
+        assert masks == cycles
+        assert cleared == gf2.echelonize(d_in).keys()
 
 
 def check_morse_complex(mc):
     basis = homology_basis(mc)
     for k in range(mc.complex.top_dim + 1):
-        d_in = mc.boundary.get(k, [])
-        cycles = check_grade(d_in, mc.boundary.get(k + 1, []), mc.boundary_echelon(k))
+        d_out = mc.boundary.get(k + 1, [])
+        assert mc.boundary_echelon(k) == gf2.echelonize(d_out)
+        cycles = uncleared_cycle_basis(mc.boundary.get(k, []), d_out)
         assert [h.support for h in basis[k]] == [mc.unmask(k, v) for v in cycles]
 
 
@@ -123,3 +124,18 @@ def test_kernel_basis_skips_only_the_given_dependent_masks(data):
     dependent = [gf2.pivot(m) for m in full]
     skip = data.draw(st.sets(st.sampled_from(dependent)) if dependent else st.just(set()))
     assert gf2.kernel_basis(cols, skip) == [m for m in full if gf2.pivot(m) not in skip]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reduce_boundary_pivots_are_the_echelon_pivots(data):
+    width = data.draw(st.integers(1, 10), label="width")
+    cols = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=14), label="cols")
+    masks, pivots = gf2.reduce_boundary(cols)
+    assert masks == tuple_loop_kernel(cols) == gf2.kernel_basis(cols)
+    assert pivots == gf2.echelonize(cols).keys()
+    # Skipping dependent columns (what clearing does) keeps every pivot.
+    skip = data.draw(st.sets(st.sampled_from([gf2.pivot(m) for m in masks])) if masks
+                     else st.just(set()))
+    assert gf2.reduce_boundary(cols, skip) == ([m for m in masks if gf2.pivot(m) not in skip],
+                                               pivots)

@@ -313,6 +313,10 @@ def test_input_errors_exit_2(capsys, tmp_path):
         "--field", "expr:random:1",
     )
     assert "repeats a vertex" in error
+    # --trials draws its own fields: explicit ones would be echoed but unused.
+    for fields in (["--field-a", "expr:bump", "--field-b", "expr:bump"], ["--field-b", "a.csv"]):
+        error = bad_input(capsys, "compare", "--complex", "torus:3:3", "--trials", "2", *fields)
+        assert "--trials" in error and "--field-a/--field-b" in error
     # Huge vertex labels name the same complex as labels 0..3.
     tetra = tmp_path / "tetra.txt"
     reports = []

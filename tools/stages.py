@@ -1,12 +1,17 @@
-"""Wall time of the pipeline stages at fixed sizes, recorded in BENCH_8.json.
+"""Wall time of the pipeline stages at fixed sizes, recorded in BENCH_10.json.
 
 Usage (from any directory, no flags, no environment variables):
 
     python3 tools/stages.py
 
 It imports morsespec from the ``src/`` next to this file and times, on torus
-grids of 32², 64², 128² and 256² vertices under ``expr:random:1`` and
-``expr:bump``:
+grids of 32², 64², 128² and 256² vertices:
+
+* ``selectors``: ``homology.homology_basis`` of the full complex, which names
+  the classes of ``--class all`` / ``grade:K:index:I``; it does not depend
+  on the field, so it runs once per size (group ``full complex``);
+
+and under each of ``expr:random:1`` and ``expr:bump``:
 
 * ``build_gradient`` and ``build_morse_complex``, as controls;
 * ``verify_d_squared`` + ``to_json_dict`` (both walk every boundary column
@@ -14,11 +19,17 @@ grids of 32², 64², 128² and 256² vertices under ``expr:random:1`` and
 * ``expand`` of every class of the Morse homology basis.
 
 A stage is repeated up to three times, until two seconds have gone by, and
-its fastest run is kept.  Each field also reports the 64²→128² and
+its fastest run is kept.  Each group also reports the 64²→128² and
 128²→256² ratios of every stage, where linear cost gives about 4, and its
-structural counters.
+structural counters.  The selector counters are, per grade d, the columns
+of the d-th boundary matrix that a cleared reduction reduces and the ones it
+skips (the rank of the (d+1)-th), read off the basis sizes; next to them,
+``reduce_vector_calls`` counts, in one more untimed run, the columns that
+the code under test actually sent through ``gf2.reduce_vector``, and
+``process_peak_rss_mib`` is the process's peak resident set right after the
+selectors at that size.
 
-The run is stored in ``BENCH_8.json`` at the checkout root under
+The run is stored in ``BENCH_10.json`` at the checkout root under
 ``runs[LABEL]``: LABEL is the git SHA of HEAD, with ``+worktree`` appended
 when ``src/`` differs from HEAD.  Everything else already in the file is
 kept, so the runs of other commits and any benchmark numbers recorded there
@@ -30,6 +41,7 @@ from __future__ import annotations
 import gc
 import json
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -38,14 +50,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from morsespec import build_torus_grid, homology_basis, verify_d_squared  # noqa: E402
+import morsespec.homology as fullh  # noqa: E402
+from morsespec import build_torus_grid, gf2, homology_basis, verify_d_squared  # noqa: E402
 from morsespec.fields import expression_field  # noqa: E402
 from morsespec.morse import build_gradient, build_morse_complex  # noqa: E402
 
 SIZES = (32, 64, 128, 256)
 FIELDS = ("random:1", "bump")
-STAGES = ("build_gradient", "build_morse_complex", "verify_d_squared+to_json_dict", "expand")
-OUT = ROOT / "BENCH_8.json"
+FULL = "full complex"
+STAGES = {
+    FULL: ("selectors",),
+    **{f: ("build_gradient", "build_morse_complex", "verify_d_squared+to_json_dict", "expand")
+       for f in FIELDS},
+}
+OUT = ROOT / "BENCH_10.json"
 
 
 def timed(fn):
@@ -86,6 +104,36 @@ def measure(cx, name: str) -> tuple[dict, dict]:
     return sec, counters
 
 
+def measure_selectors(cx) -> tuple[dict, dict]:
+    sec, basis = timed(lambda: fullh.homology_basis(cx))
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    reduced, cleared, rank_above = {}, {}, 0
+    for d in range(cx.top_dim, -1, -1):
+        cleared[d] = rank_above
+        reduced[d] = len(cx.cells_of_dim(d)) - rank_above
+        rank_above = reduced[d] - len(basis[d])
+    calls = 0
+    plain = gf2.reduce_vector
+
+    def counted(v, ech):
+        nonlocal calls
+        calls += 1
+        return plain(v, ech)
+
+    gf2.reduce_vector = counted
+    try:
+        fullh.homology_basis(cx)
+    finally:
+        gf2.reduce_vector = plain
+    counters = {
+        "columns_reduced": reduced,
+        "columns_cleared": cleared,
+        "reduce_vector_calls": calls,
+        "process_peak_rss_mib": round(peak, 1),
+    }
+    return {"selectors": sec}, counters
+
+
 def git(*args: str) -> str | None:
     try:
         done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
@@ -95,26 +143,26 @@ def git(*args: str) -> str | None:
 
 
 def main() -> int:
-    seconds = {f: {} for f in FIELDS}
-    counters = {f: {} for f in FIELDS}
+    seconds = {g: {} for g in STAGES}
+    counters = {g: {} for g in STAGES}
     for n in SIZES:
         cx = build_torus_grid(n, n)
-        for f in FIELDS:
-            sec, cnt = measure(cx, f)
-            seconds[f][f"{n}x{n}"] = {k: round(v, 6) for k, v in sec.items()}
-            counters[f][f"{n}x{n}"] = cnt
-            print(f"{f:>9} {n:>3}² " + "  ".join(f"{k} {v:.4f}s" for k, v in sec.items()),
+        for g in STAGES:
+            sec, cnt = measure_selectors(cx) if g == FULL else measure(cx, g)
+            seconds[g][f"{n}x{n}"] = {k: round(v, 6) for k, v in sec.items()}
+            counters[g][f"{n}x{n}"] = cnt
+            print(f"{g:>12} {n:>3}² " + "  ".join(f"{k} {v:.4f}s" for k, v in sec.items()),
                   flush=True)
         del cx
     ratios = {
-        f: {
+        g: {
             f"{a}->{b}": {
-                s: round(seconds[f][f"{b}x{b}"][s] / seconds[f][f"{a}x{a}"][s], 2)
-                for s in STAGES
+                s: round(seconds[g][f"{b}x{b}"][s] / seconds[g][f"{a}x{a}"][s], 2)
+                for s in stages
             }
             for a, b in ((64, 128), (128, 256))
         }
-        for f in FIELDS
+        for g, stages in STAGES.items()
     }
     sha = git("rev-parse", "HEAD")
     dirty = git("status", "--porcelain", "--", "src")
