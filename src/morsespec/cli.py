@@ -66,10 +66,10 @@ def _parse_field(spec: str, cx: CellComplex):
 
 def _resolve_classes(cx: CellComplex, selector: str) -> list[tuple[str, HomologyClass]]:
     if selector == "point":
-        v0 = next(c.id for c in cx.cells if c.dim == 0)
+        v0 = cx.ids_of_dim(0)[0]
         return [("point", HomologyClass(0, frozenset({v0}), "full", owner=cx))]
     if selector == "fundamental":
-        top = frozenset(c.id for c in cx.cells if c.dim == cx.top_dim)
+        top = frozenset(cx.ids_of_dim(cx.top_dim))
         if not fullh.is_cycle(cx, top):
             raise MorsespecError("complex has no fundamental cycle (not closed)")
         return [("fundamental", HomologyClass(cx.top_dim, top, "full", owner=cx))]

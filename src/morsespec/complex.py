@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import pairwise
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import (
@@ -41,16 +44,27 @@ class Cell:
 class CellComplex:
     """A finite regular cell complex with mod-2 incidence.
 
-    cells are ordered by id (ids are dense, 0..len-1).  ``descriptor`` records
-    provenance: ``"torus:NX:NY"`` for grid builds, ``"simplicial"`` otherwise.
+    cells are ordered by id (ids are dense, 0..len-1) and numbered dimension
+    by dimension, so the d-cells hold the ids ``ids_of_dim(d)``.
+    ``descriptor`` records provenance: ``"torus:NX:NY"`` for grid builds,
+    ``"simplicial"`` otherwise.
     """
 
     cells: tuple[Cell, ...]
     top_dim: int
     descriptor: str
     _cofaces: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
+    _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for prev, c in pairwise(self.cells):
+            if c.dim < prev.dim:
+                raise ComplexBuildError(
+                    f"cell {c.id} (dim {c.dim}) follows cell {prev.id} (dim {prev.dim})"
+                )
+        dim = attrgetter("dim")
+        starts = tuple(bisect_left(self.cells, d, key=dim) for d in range(self.top_dim + 2))
+        object.__setattr__(self, "_starts", starts)
         if not self._cofaces:
             cof: list[list[int]] = [[] for _ in self.cells]
             for c in self.cells:
@@ -64,18 +78,20 @@ class CellComplex:
     def cofaces(self, cell_id: int) -> tuple[int, ...]:
         return self._cofaces[cell_id]
 
-    def cells_of_dim(self, dim: int) -> list[Cell]:
-        return [c for c in self.cells if c.dim == dim]
+    def ids_of_dim(self, dim: int) -> range:
+        """Ids of the dim-cells; empty outside 0..top_dim."""
+        return range(*self._starts[dim : dim + 2]) if 0 <= dim <= self.top_dim else range(0)
+
+    def cells_of_dim(self, dim: int) -> tuple[Cell, ...]:
+        ids = self.ids_of_dim(dim)
+        return self.cells[ids.start : ids.stop]
 
     @property
     def n_vertices(self) -> int:
-        return sum(1 for c in self.cells if c.dim == 0)
+        return len(self.ids_of_dim(0))
 
     def euler_characteristic(self) -> int:
-        chi = 0
-        for c in self.cells:
-            chi += 1 if c.dim % 2 == 0 else -1
-        return chi
+        return sum((-1) ** d * len(self.ids_of_dim(d)) for d in range(self.top_dim + 1))
 
     @property
     def torus_shape(self) -> tuple[int, int] | None:

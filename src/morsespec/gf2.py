@@ -4,13 +4,14 @@ A vector is a Python int; bit i is coordinate i.  Column reduction keeps at
 most one column per pivot (the highest set bit), processing columns in the
 order given, so every routine here is deterministic.  ``reduce_vector`` is
 the one elimination loop: ``reduce_boundary`` reduces augmented columns whose
-low bits carry the combination and returns the kernel and the pivot rows, so
-a homology basis reduces each boundary matrix once (clearing).
+low bits carry the combination and returns the kernel and the pivot rows, and
+``homology_cycles`` walks a chain complex's grades top down with it, so each
+boundary matrix is reduced once (clearing).
 """
 
 from __future__ import annotations
 
-from collections.abc import Container, Iterable
+from collections.abc import Callable, Container, Iterable, Iterator
 
 
 def pivot(v: int) -> int:
@@ -26,22 +27,11 @@ def echelonize(columns: Iterable[int]) -> dict[int, int]:
     Returns a map pivot -> column. Columns that reduce to zero are dropped.
     """
     ech: dict[int, int] = {}
-    extend(ech, columns)
-    return ech
-
-
-def extend(ech: dict[int, int], vectors: Iterable[int]) -> list[int]:
-    """Reduce each vector against ech in turn and insert the nonzero results.
-
-    ech is updated in place; the inserted vectors are returned in input order.
-    """
-    added = []
-    for v in vectors:
+    for v in columns:
         v = reduce_vector(v, ech)
         if v:
             ech[pivot(v)] = v
-            added.append(v)
-    return added
+    return ech
 
 
 def reduce_vector(v: int, ech: dict[int, int]) -> int:
@@ -53,19 +43,6 @@ def reduce_vector(v: int, ech: dict[int, int]) -> int:
             return v
         v ^= col
     return 0
-
-
-def rank(columns: Iterable[int]) -> int:
-    return len(echelonize(columns))
-
-
-def in_span(v: int, ech: dict[int, int]) -> bool:
-    return reduce_vector(v, ech) == 0
-
-
-def kernel_basis(columns: list[int], skip: Container[int] = ()) -> list[int]:
-    """The kernel masks of ``reduce_boundary``: a basis of the kernel, in column order."""
-    return reduce_boundary(columns, skip)[0]
 
 
 def reduce_boundary(columns: list[int], skip: Container[int] = ()) -> tuple[list[int], set[int]]:
@@ -92,17 +69,22 @@ def reduce_boundary(columns: list[int], skip: Container[int] = ()) -> tuple[list
     return out, {p - n for p in ech}
 
 
-def solve(columns: list[int], target: int) -> int | None:
-    """Combination mask expressing target as a XOR of columns, or None.
+def homology_cycles(
+    top: int, boundary: Callable[[int, set[int]], list[int]]
+) -> Iterator[tuple[int, list[int]]]:
+    """(k, cycle masks) for k = top..0: a homology basis of each grade.
 
-    Target is appended as a last column: it is in the span exactly when it
-    reduces to zero, and its kernel mask then holds the combination.
+    ``boundary(k, cleared)`` returns the columns of the boundary leaving
+    grade k, one per k-cell; the columns whose index is in ``cleared`` (the
+    pivot rows of the boundary leaving grade k+1) are skipped, so they may be
+    given as 0.  The masks of grade k are the kernel of that matrix without
+    the cleared columns.  A mask's top bit is no pivot row of the grade above,
+    so the masks stay independent modulo boundaries.
     """
-    n = len(columns)
-    kernel = kernel_basis([*columns, target])
-    if kernel and kernel[-1] >> n:
-        return kernel[-1] ^ (1 << n)
-    return None
+    cleared: set[int] = set()
+    for k in range(top, -1, -1):
+        cycles, cleared = reduce_boundary(boundary(k, cleared), cleared)
+        yield k, cycles
 
 
 def from_bits(bits: Iterable[int]) -> int:

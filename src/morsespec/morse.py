@@ -20,7 +20,9 @@ walk, which decides each matched lower cell once, upstream first:
 
 ``project(expand(x)) = x`` holds on the nose, which makes the two maps a
 deformation-retract style equivalence realizing the matching's homology
-isomorphism at chain level.
+isomorphism at chain level.  The Morse complex thus has the homology of the
+full complex, and both take their cycles from one top-down
+``gf2.homology_cycles`` walk (here ``homology_basis``, which ``betti`` counts).
 """
 
 from __future__ import annotations
@@ -303,13 +305,13 @@ class MorseComplex:
             raise ChainError(f"cell {cell_id} is not critical here") from None
 
     def mask(self, grade: int, support) -> int:
-        v = 0
+        pos, bits = self._pos, []
         for cid in support:
-            k, i = self.position(cid)
+            k, i = pos.get(cid) or self.position(cid)  # position raises off the grades
             if k != grade:
                 raise ChainError(f"cell {cid} has grade {k}, expected {grade}")
-            v |= 1 << i
-        return v
+            bits.append(i)
+        return gf2.from_bits(bits)
 
     def unmask(self, grade: int, v: int) -> frozenset[int]:
         cells = self.grades[grade]
@@ -326,7 +328,8 @@ class MorseComplex:
         return self.boundary_of(grade, v) == 0
 
     def boundary_echelon(self, grade: int) -> dict[int, int]:
-        """Echelonized columns of the boundary arriving in ``grade``."""
+        """Echelonized columns of the boundary arriving in ``grade``, cached
+        for spectral queries (the homology walk keeps no echelon alive)."""
         ech = self._echelon.get(grade)
         if ech is None:
             ech = gf2.echelonize(self.boundary.get(grade + 1, []))
@@ -334,9 +337,7 @@ class MorseComplex:
         return ech
 
     def betti(self) -> list[int]:
-        top = self.complex.top_dim
-        ranks = [gf2.rank(self.boundary.get(k, [])) for k in range(top + 2)]
-        return [self.rank(k) - ranks[k] - ranks[k + 1] for k in range(top + 1)]
+        return [len(classes) for classes in homology_basis(self).values()]
 
     def to_json_dict(self) -> dict:
         return {
@@ -413,11 +414,11 @@ def check_order_decreasing(mc: MorseComplex) -> bool:
 
 def homology_basis(mc: MorseComplex) -> dict[int, list[HomologyClass]]:
     """Per grade, a deterministic GF(2) basis of cycles modulo boundaries."""
-    out: dict[int, list[HomologyClass]] = {}
-    for k in range(mc.complex.top_dim + 1):
-        cycles = gf2.kernel_basis(mc.boundary.get(k, []), skip=mc.boundary_echelon(k).keys())
-        out[k] = [HomologyClass(k, mc.unmask(k, v), "morse", owner=mc) for v in cycles]
-    return out
+    walk = gf2.homology_cycles(mc.complex.top_dim, lambda k, _: mc.boundary.get(k, []))
+    return {
+        k: [HomologyClass(k, mc.unmask(k, v), "morse", owner=mc) for v in cycles]
+        for k, cycles in sorted(walk)
+    }
 
 
 def same_class(mc: MorseComplex, a, b) -> bool:
@@ -429,4 +430,4 @@ def same_class(mc: MorseComplex, a, b) -> bool:
     if len(grade) != 1:
         return False
     (k,) = grade
-    return gf2.in_span(mc.mask(k, diff), mc.boundary_echelon(k))
+    return not gf2.reduce_vector(mc.mask(k, diff), mc.boundary_echelon(k))

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from morsespec import build_from_simplicial, build_torus_grid, make_field
+from morsespec import Cell, CellComplex, build_from_simplicial, build_torus_grid, make_field
 
 DENOM = 1 << 20
 
@@ -48,6 +48,40 @@ def random_simplicial(rng):
     if rng.random() < 0.25:
         spec.append(sorted(rng.sample(range(n), 4)))
     return build_from_simplicial(spec)
+
+
+def cubical_3torus(n0, n1, n2):
+    """Cubical complex of the flat 3-torus on an n0 x n1 x n2 vertex grid.
+
+    A cell is a base point p with a set S of axes: it spans p + e_T for every
+    T within S, and its faces are (p, S - {s}) and (p + e_s, S - {s}).  Cells
+    are numbered dimension by dimension, then by S, then by p row-major; all
+    coordinates wrap, so every side needs at least 3 vertices.
+    """
+    shape = (n0, n1, n2)
+    points = list(itertools.product(*map(range, shape)))
+
+    def shift(p, axes):
+        return tuple((x + (i in axes)) % n for i, (x, n) in enumerate(zip(p, shape)))
+
+    ids: dict = {}
+    cells = []
+    for d in range(4):
+        for axes in itertools.combinations(range(3), d):
+            for p in points:
+                cid = ids[p, axes] = len(cells)
+                faces = tuple(
+                    ids[q, tuple(a for a in axes if a != s)]
+                    for s in axes
+                    for q in (p, shift(p, (s,)))
+                )
+                corners = {
+                    ids[shift(p, sub), ()]
+                    for r in range(d + 1)
+                    for sub in itertools.combinations(axes, r)
+                }
+                cells.append(Cell(cid, d, faces, tuple(sorted(corners))))
+    return CellComplex(tuple(cells), 3, f"cubical3:{n0}:{n1}:{n2}")
 
 
 def random_instance(rng):

@@ -1,13 +1,15 @@
 """Cleared homology bases against the uncleared route they replaced.
 
-Both ``homology_basis`` routes skip every column that is a pivot row of the
-boundary from the grade above (clearing): the full-complex route walks the
-grades top down with ``gf2.reduce_boundary``, the Morse route uses the
-cached ``boundary_echelon``.  The reference here is the route without
-clearing: a kernel basis built by an explicit (column, combination) pair
-loop over every column, the echelon of the boundary matrix, then
-``gf2.extend``.  Both must give the same vectors in the same order,
-compared with ``==``.
+Both ``homology_basis`` routes, and ``MorseComplex.betti``, take their
+cycles from one ``gf2.homology_cycles`` walk: the grades top down, each
+boundary matrix reduced once with ``gf2.reduce_boundary``, skipping every
+column that is a pivot row of the boundary from the grade above (clearing).
+The reference here is the route without clearing: a kernel basis built by
+an explicit (column, combination) pair loop over every column, then each
+kernel vector reduced against the echelon of the boundary from the grade
+above and kept when nonzero.  Both must give the same vectors in the same
+order, compared with ``==``.  The cubical 3-torus runs clearing across
+three grades.
 """
 
 import random
@@ -17,7 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morsespec.homology as fullh
-from conftest import cycle_graph, dyadic_field, random_simplicial, tetra_boundary
+import oracles
+from conftest import (
+    cubical_3torus,
+    cycle_graph,
+    dyadic_field,
+    random_simplicial,
+    tetra_boundary,
+)
 from morsespec import MorseComplex, build_torus_grid, gf2, homology_basis, make_field
 from morsespec.fields import expression_field
 
@@ -42,7 +51,14 @@ def tuple_loop_kernel(columns):
 
 
 def uncleared_cycle_basis(d_in, d_out):
-    return gf2.extend(gf2.echelonize(d_out), tuple_loop_kernel(d_in))
+    ech = gf2.echelonize(d_out)
+    out = []
+    for v in tuple_loop_kernel(d_in):
+        v = gf2.reduce_vector(v, ech)
+        if v:
+            ech[gf2.pivot(v)] = v
+            out.append(v)
+    return out
 
 
 def check_full_complex(cx):
@@ -113,17 +129,34 @@ def test_morse_basis_matches_uncleared(field, corpus):
         check_morse_complex(MorseComplex.from_field(cx, fld))
 
 
+@pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 3)], ids=["3x3x3", "4x4x3"])
+def test_3torus_bases_match_uncleared(shape):
+    cx = cubical_3torus(*shape)
+    cx.validate()
+    # Every boundary matrix has positive rank, so clearing skips columns of
+    # grades 2, 1 and 0.
+    assert all(gf2.echelonize(fullh.boundary_columns(cx, d)) for d in (1, 2, 3))
+    check_full_complex(cx)
+    assert oracles.betti_numbers(cx) == [1, 3, 3, 1]
+    rng = random.Random(8)
+    fields = [dyadic_field(cx, rng) for _ in range(3)] + [plateau_field(cx, rng) for _ in range(3)]
+    for fld in fields:
+        mc = MorseComplex.from_field(cx, fld)
+        check_morse_complex(mc)
+        assert mc.betti() == [1, 3, 3, 1]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_kernel_basis_skips_only_the_given_dependent_masks(data):
     width = data.draw(st.integers(1, 10), label="width")
     cols = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=14), label="cols")
-    full = gf2.kernel_basis(cols)
+    full = gf2.reduce_boundary(cols)[0]
     assert full == tuple_loop_kernel(cols)
     # Each kernel mask's top bit is the index of the dependent column it belongs to.
     dependent = [gf2.pivot(m) for m in full]
     skip = data.draw(st.sets(st.sampled_from(dependent)) if dependent else st.just(set()))
-    assert gf2.kernel_basis(cols, skip) == [m for m in full if gf2.pivot(m) not in skip]
+    assert gf2.reduce_boundary(cols, skip)[0] == [m for m in full if gf2.pivot(m) not in skip]
 
 
 @settings(max_examples=300, deadline=None)
@@ -132,7 +165,7 @@ def test_reduce_boundary_pivots_are_the_echelon_pivots(data):
     width = data.draw(st.integers(1, 10), label="width")
     cols = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=14), label="cols")
     masks, pivots = gf2.reduce_boundary(cols)
-    assert masks == tuple_loop_kernel(cols) == gf2.kernel_basis(cols)
+    assert masks == tuple_loop_kernel(cols) == gf2.reduce_boundary(cols)[0]
     assert pivots == gf2.echelonize(cols).keys()
     # Skipping dependent columns (what clearing does) keeps every pivot.
     skip = data.draw(st.sets(st.sampled_from([gf2.pivot(m) for m in masks])) if masks

@@ -3,8 +3,17 @@ import random
 
 import pytest
 
-from conftest import cycle_graph, dyadic_field, shifted, tetra_boundary
+from conftest import (
+    cubical_3torus,
+    cycle_graph,
+    dyadic_field,
+    random_simplicial,
+    shifted,
+    tetra_boundary,
+)
 from morsespec import (
+    Cell,
+    CellComplex,
     build_from_simplicial,
     build_torus_grid,
     c0_distance,
@@ -54,6 +63,30 @@ def test_simplicial_malformed():
         build_from_simplicial([[0, 1, 1]])
     with pytest.raises(ComplexBuildError):
         build_from_simplicial([])
+
+
+def test_ids_of_dim_partitions_the_cells(corpus):
+    rng = random.Random(9)
+    complexes = [cx for cx, _ in corpus] + [random_simplicial(rng) for _ in range(20)]
+    complexes += [build_torus_grid(5, 3), cubical_3torus(3, 3, 3), cubical_3torus(4, 4, 3)]
+    for cx in complexes:
+        ranges = [cx.ids_of_dim(d) for d in range(cx.top_dim + 1)]
+        assert [i for r in ranges for i in r] == list(range(len(cx)))
+        for d, r in enumerate(ranges):
+            assert all(cx.cells[i].dim == d for i in r)
+            assert cx.cells_of_dim(d) == tuple(c for c in cx.cells if c.dim == d)
+        assert cx.n_vertices == sum(1 for c in cx.cells if c.dim == 0)
+        assert cx.ids_of_dim(-1) == cx.ids_of_dim(cx.top_dim + 1) == range(0)
+
+
+def test_cell_after_a_higher_dimensional_one_is_refused():
+    cells = (
+        Cell(0, 0, (), (0,)),
+        Cell(1, 1, (0, 2), (0, 2)),
+        Cell(2, 0, (), (2,)),
+    )
+    with pytest.raises(ComplexBuildError, match=r"cell 2 \(dim 0\) follows cell 1 \(dim 1\)"):
+        CellComplex(cells, 1, "simplicial")
 
 
 def test_corpus_invariants(corpus):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-import morsespec.gf2 as gf2
 import morsespec.homology as fullh
+import oracles
 from conftest import dyadic_field, shifted, tetra_boundary
 from morsespec import (
     MorseComplex,
@@ -71,7 +71,7 @@ def test_grade_one_matrix_matches_full_complex_change_of_basis():
         full_basis = fullh.homology_basis(cx)[1]
 
         def coords(chain):
-            return fullh.class_coordinates(cx, 1, chain, full_basis)
+            return oracles.class_coordinates(cx, 1, chain, full_basis)
 
         A = [coords(ga.expand(X.support)) for X in basis_a]
         B = [coords(gb.expand(X.support)) for X in basis_b]
@@ -83,13 +83,13 @@ def test_grade_one_matrix_matches_full_complex_change_of_basis():
             cols = list(mcb.boundary.get(2, [])) + [
                 mcb.mask(1, Z.support) for Z in basis_b
             ]
-            combo = gf2.solve(cols, mcb.mask(1, img.support))
+            combo = oracles.solve(cols, mcb.mask(1, img.support))
             assert combo is not None
             offset = len(mcb.boundary.get(2, []))
             flow_coords = [(combo >> (offset + i)) & 1 for i in range(len(basis_b))]
             # independent route: solve A_j = B * x over the full-complex coords
             target = sum(bit << i for i, bit in enumerate(A[j]))
-            combo2 = gf2.solve(bcols, target)
+            combo2 = oracles.solve(bcols, target)
             assert combo2 is not None
             full_coords = [(combo2 >> i) & 1 for i in range(len(basis_b))]
             assert flow_coords == full_coords

@@ -145,7 +145,7 @@ def test_witness_is_homologous_minimizer():
             if diff:
                 import morsespec.gf2 as gf2
 
-                assert gf2.in_span(mc.mask(k, diff), mc.boundary_echelon(k))
+                assert not gf2.reduce_vector(mc.mask(k, diff), mc.boundary_echelon(k))
             assert rep.sigma == fld.cell_values[rep.critical_cell]
 
 

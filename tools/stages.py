@@ -18,8 +18,8 @@ and under each of ``expr:random:1`` and ``expr:bump``:
   through ``gf2.to_bits``);
 * ``expand`` of every class of the Morse homology basis.
 
-A stage is repeated up to three times, until two seconds have gone by, and
-its fastest run is kept.  Each group also reports the 64²→128² and
+Every stage runs three times and its fastest run is kept, so fast and slow
+stages are compared on the same number of samples.  Each group also reports the 64²→128² and
 128²→256² ratios of every stage, where linear cost gives about 4, and its
 structural counters.  The selector counters are, per grade d, the columns
 of the d-th boundary matrix that a cleared reduction reduces and the ones it
@@ -67,17 +67,13 @@ OUT = ROOT / "BENCH_10.json"
 
 
 def timed(fn):
-    """(fastest wall time of up to three runs within two seconds, last result)."""
-    best, spent = float("inf"), 0.0
+    """(fastest wall time of three runs, last result)."""
+    best = float("inf")
     for _ in range(3):
         gc.collect()
         t0 = time.perf_counter()
         out = fn()
-        dt = time.perf_counter() - t0
-        best = min(best, dt)
-        spent += dt
-        if spent >= 2.0:
-            break
+        best = min(best, time.perf_counter() - t0)
     return best, out
 
 
