@@ -53,7 +53,7 @@ class CellComplex:
     cells: tuple[Cell, ...]
     top_dim: int
     descriptor: str
-    _cofaces: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
+    _cofaces: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -65,12 +65,11 @@ class CellComplex:
         dim = attrgetter("dim")
         starts = tuple(bisect_left(self.cells, d, key=dim) for d in range(self.top_dim + 2))
         object.__setattr__(self, "_starts", starts)
-        if not self._cofaces:
-            cof: list[list[int]] = [[] for _ in self.cells]
-            for c in self.cells:
-                for f in c.faces:
-                    cof[f].append(c.id)
-            object.__setattr__(self, "_cofaces", tuple(tuple(x) for x in cof))
+        cof: list[list[int]] = [[] for _ in self.cells]
+        for c in self.cells:
+            for f in c.faces:
+                cof[f].append(c.id)
+        object.__setattr__(self, "_cofaces", tuple(tuple(x) for x in cof))
 
     def __len__(self) -> int:
         return len(self.cells)

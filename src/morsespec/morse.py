@@ -128,7 +128,6 @@ class DiscreteGradient:
     def validate(self) -> None:
         """Check matching invariants and acyclicity; raise on failure."""
         cx = self.complex
-        vkey = _vertex_order(self.field, self.tie_break)
         seen = set(self.critical)
         for q, k in self.pair_up.items():
             if self.pair_down.get(k) != q:
@@ -137,118 +136,115 @@ class DiscreteGradient:
                 raise ComplexBuildError(f"cell in pair ({q},{k}) used twice")
             seen.add(q)
             seen.add(k)
+        if len(self.pair_down) != len(self.pair_up):
+            raise ComplexBuildError("inverse map holds pairs the matching lacks")
+        ids = set(range(len(cx)))
+        if seen != ids:
+            stray, missing = sorted(seen - ids), sorted(ids - seen)
+            raise ComplexBuildError(f"matching misses cells: stray {stray}, missing {missing}")
+        rank = vertex_rank(self.field, self.tie_break).__getitem__
+        for q, k in self.pair_up.items():
             if cx.cells[k].dim != cx.cells[q].dim + 1 or q not in cx.cells[k].faces:
                 raise ComplexBuildError(f"pair ({q},{k}) is not a face-coface pair")
             if self.field.cell_values[q] != self.field.cell_values[k]:
                 raise ComplexBuildError(f"pair ({q},{k}) crosses a level set")
-            if max(cx.cells[q].vertices, key=vkey) != max(cx.cells[k].vertices, key=vkey):
+            if max(map(rank, cx.cells[q].vertices)) != max(map(rank, cx.cells[k].vertices)):
                 raise ComplexBuildError(f"pair ({q},{k}) crosses lower stars")
-        if len(seen) != len(cx):
-            raise ComplexBuildError("matching plus critical cells do not cover")
         self._vpath_order(self.pair_up)
 
 
-def _vertex_order(fld: ScalarField, tie_break: str):
-    """Sort key of the vertex order: value, then id ("id") or -id ("reverse-id")."""
-    sgn = 1 if tie_break == "id" else -1
-    values = fld.vertex_values
-    return lambda v: (values[v], sgn * v)
+def vertex_rank(fld: ScalarField, tie_break: str) -> list[int]:
+    """Position of each vertex in the lower-star order: by value, ties by id
+    ("id") or by -id ("reverse-id"), as a stable sort of the ids in that
+    order gives.  This is the one place the tie-break rule is read."""
+    if tie_break not in ("id", "reverse-id"):
+        raise ValueError(f"unknown tie_break {tie_break!r}")
+    n = len(fld.vertex_values)
+    ids = range(n) if tie_break == "id" else range(n - 1, -1, -1)
+    rank = [0] * n
+    for r, v in enumerate(sorted(ids, key=fld.vertex_values.__getitem__)):
+        rank[v] = r
+    return rank
 
 
 def build_gradient(
     cx: CellComplex, fld: ScalarField, tie_break: str = "id"
 ) -> DiscreteGradient:
-    """Greedy acyclic matching inside each lower star.
+    """Greedy acyclic matching inside each lower star (Robins–Wood–Sheppard,
+    "ProcessLowerStars", IEEE TPAMI 2011).
 
-    Cells are grouped by their order-maximal vertex.  Within one group the
-    matching is built coreduction style: a cell is matched to a coface as
-    soon as it is that coface's only unclassified face, smallest candidates
-    first; when nothing is matchable the smallest remaining cell is declared
-    critical.  Pairings of this kind can never close a V-path, and paths
-    between groups only descend, so the matching is acyclic by construction.
+    Each cell's key is its vertices' ``vertex_rank`` in descending order,
+    then its dimension, then its id (negated under "reverse-id").  The first
+    rank names the cell's lower star, the star of its order-maximal vertex.
+    Within one star the matching is built coreduction style: a cell is
+    matched to a coface as soon as it is that coface's only unpaired face,
+    smallest keys first; when nothing is matchable the smallest remaining
+    cell is declared critical.  Pairings of this kind can never close a
+    V-path, and paths between stars only descend, so the matching is
+    acyclic by construction.
     """
     if fld.complex is not cx:
         raise ComplexMismatchError("field was built over a different complex")
-    if tie_break not in ("id", "reverse-id"):
-        raise ValueError(f"unknown tie_break {tie_break!r}")
-    sgn = 1 if tie_break == "id" else -1
-    vkey = _vertex_order(fld, tie_break)
-
-    star: dict[int, list[int]] = {}
-    for c in cx.cells:
-        mv = max(c.vertices, key=vkey)
-        star.setdefault(mv, []).append(c.id)
-
-    def ckey(cid: int):
-        c = cx.cells[cid]
-        return (
-            tuple(sorted((vkey(u) for u in c.vertices), reverse=True)),
-            c.dim,
-            sgn * cid,
-        )
+    rank = vertex_rank(fld, tie_break)
+    forward = tie_break == "id"
+    cells = cx.cells
+    key = [  # under "id" the id object itself, not a new int per cell
+        (tuple(sorted([rank[u] for u in c.vertices], reverse=True)), c.dim,
+         c.id if forward else -c.id)
+        for c in cells
+    ]
+    stars: list[list[int]] = [[] for _ in rank]
+    for c, k in zip(cells, key):
+        stars[k[0][0]].append(c.id)
 
     pair_up: dict[int, int] = {}
     pair_down: dict[int, int] = {}
     critical: set[int] = set()
-    ACTIVE, DONE = 0, 1
 
-    for v, members in star.items():
+    def push_candidates(cid: int) -> None:
+        for co in cx.cofaces(cid):
+            if co in unpaired and len(unpaired.intersection(cells[co].faces)) == 1:
+                heapq.heappush(pq_one, (key[co], co))
+
+    for members in stars:
+        v = members[0]  # vertices are numbered first
         if len(members) == 1:
             critical.add(v)
             continue
-        in_star = set(members)
-        status = {cid: ACTIVE for cid in members}
-        faces_in_star = {
-            cid: [f for f in cx.cells[cid].faces if f in in_star] for cid in members
-        }
-
-        def n_active(cid: int) -> int:
-            return sum(1 for f in faces_in_star[cid] if status[f] == ACTIVE)
-
-        one_cells = [cid for cid in members if cx.cells[cid].dim == 1]
-        if not one_cells:
+        edges = [cid for cid in members if cells[cid].dim == 1]
+        if not edges:
             raise ComplexBuildError(
                 f"lower star of vertex {v} has no edge; cannot seed the matching"
             )
-        first = min(one_cells, key=ckey)
-        status[v] = status[first] = DONE
+        first = min(edges, key=key.__getitem__)
+        unpaired = set(members) - {v, first}
         pair_up[v] = first
         pair_down[first] = v
 
         pq_one: list = []
-        pq_zero: list = []
-        for cid in one_cells:
-            if cid != first:
-                heapq.heappush(pq_zero, (ckey(cid), cid))
-
-        def push_candidates(cid: int) -> None:
-            for co in cx.cofaces(cid):
-                if co in in_star and status[co] == ACTIVE and n_active(co) == 1:
-                    heapq.heappush(pq_one, (ckey(co), co))
-
+        pq_zero = [(key[cid], cid) for cid in edges if cid != first]
+        heapq.heapify(pq_zero)
         push_candidates(first)
         while pq_one or pq_zero:
             while pq_one:
                 _, alpha = heapq.heappop(pq_one)
-                if status[alpha] != ACTIVE:
+                if alpha not in unpaired:
                     continue
-                front = [f for f in faces_in_star[alpha] if status[f] == ACTIVE]
+                front = unpaired.intersection(cells[alpha].faces)
                 if not front:
-                    heapq.heappush(pq_zero, (ckey(alpha), alpha))
+                    heapq.heappush(pq_zero, (key[alpha], alpha))
                     continue
-                if len(front) > 1:
-                    continue
-                lam = front[0]
-                status[lam] = status[alpha] = DONE
+                (lam,) = front  # pushed with one unpaired face; never more
+                unpaired -= {lam, alpha}
                 pair_up[lam] = alpha
                 pair_down[alpha] = lam
                 push_candidates(alpha)
                 push_candidates(lam)
             while pq_zero:
                 _, gamma = heapq.heappop(pq_zero)
-                if status[gamma] != ACTIVE:
+                if gamma not in unpaired:
                     continue
-                status[gamma] = DONE
+                unpaired.discard(gamma)
                 critical.add(gamma)
                 push_candidates(gamma)
                 break

@@ -89,6 +89,15 @@ def test_cell_after_a_higher_dimensional_one_is_refused():
         CellComplex(cells, 1, "simplicial")
 
 
+def test_cofaces_are_derived_from_faces(corpus):
+    for cx, _ in corpus + [(cubical_3torus(3, 3, 3), None)]:
+        for c in cx.cells:
+            assert cx.cofaces(c.id) == tuple(k.id for k in cx.cells if c.id in k.faces)
+    cx = cycle_graph(3)
+    with pytest.raises(TypeError):
+        CellComplex(cx.cells, 1, "simplicial", _cofaces=((),) * len(cx))
+
+
 def test_corpus_invariants(corpus):
     for cx, fld in corpus:
         cx.validate()

@@ -1,19 +1,21 @@
-"""Wall time of the pipeline stages at fixed sizes, recorded in BENCH_10.json.
+"""Wall time of the pipeline stages at fixed sizes, recorded in BENCH_12.json.
 
 Usage (from any directory, no flags, no environment variables):
 
     python3 tools/stages.py
 
 It imports morsespec from the ``src/`` next to this file and times, on torus
-grids of 32², 64², 128² and 256² vertices:
+grids of 32², 64², 128² and 256² vertices, the stages that do not depend on
+the field once per size (group ``full complex``):
 
+* ``build_torus_grid``: the complex itself, cells and coface table;
 * ``selectors``: ``homology.homology_basis`` of the full complex, which names
-  the classes of ``--class all`` / ``grade:K:index:I``; it does not depend
-  on the field, so it runs once per size (group ``full complex``);
+  the classes of ``--class all`` / ``grade:K:index:I``;
 
 and under each of ``expr:random:1`` and ``expr:bump``:
 
-* ``build_gradient`` and ``build_morse_complex``, as controls;
+* ``expression_field``: the field, values and cell order;
+* ``build_gradient`` and ``build_morse_complex``;
 * ``verify_d_squared`` + ``to_json_dict`` (both walk every boundary column
   through ``gf2.to_bits``);
 * ``expand`` of every class of the Morse homology basis.
@@ -29,7 +31,7 @@ the code under test actually sent through ``gf2.reduce_vector``, and
 ``process_peak_rss_mib`` is the process's peak resident set right after the
 selectors at that size.
 
-The run is stored in ``BENCH_10.json`` at the checkout root under
+The run is stored in ``BENCH_12.json`` at the checkout root under
 ``runs[LABEL]``: LABEL is the git SHA of HEAD, with ``+worktree`` appended
 when ``src/`` differs from HEAD.  Everything else already in the file is
 kept, so the runs of other commits and any benchmark numbers recorded there
@@ -59,11 +61,12 @@ SIZES = (32, 64, 128, 256)
 FIELDS = ("random:1", "bump")
 FULL = "full complex"
 STAGES = {
-    FULL: ("selectors",),
-    **{f: ("build_gradient", "build_morse_complex", "verify_d_squared+to_json_dict", "expand")
+    FULL: ("build_torus_grid", "selectors"),
+    **{f: ("expression_field", "build_gradient", "build_morse_complex",
+           "verify_d_squared+to_json_dict", "expand")
        for f in FIELDS},
 }
-OUT = ROOT / "BENCH_10.json"
+OUT = ROOT / "BENCH_12.json"
 
 
 def timed(fn):
@@ -84,8 +87,8 @@ def verify_and_dump(mc):
 
 
 def measure(cx, name: str) -> tuple[dict, dict]:
-    fld = expression_field(cx, name)
     sec = {}
+    sec["expression_field"], fld = timed(lambda: expression_field(cx, name))
     sec["build_gradient"], g = timed(lambda: build_gradient(cx, fld))
     sec["build_morse_complex"], mc = timed(lambda: build_morse_complex(cx, fld, g))
     sec["verify_d_squared+to_json_dict"], _ = timed(lambda: verify_and_dump(mc))
@@ -100,8 +103,11 @@ def measure(cx, name: str) -> tuple[dict, dict]:
     return sec, counters
 
 
-def measure_selectors(cx) -> tuple[dict, dict]:
-    sec, basis = timed(lambda: fullh.homology_basis(cx))
+def measure_full(n: int) -> tuple[dict, dict, object]:
+    """Stages of the bare n-by-n torus; returns the complex for the fields."""
+    sec = {}
+    sec["build_torus_grid"], cx = timed(lambda: build_torus_grid(n, n))
+    sec["selectors"], basis = timed(lambda: fullh.homology_basis(cx))
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     reduced, cleared, rank_above = {}, {}, 0
     for d in range(cx.top_dim, -1, -1):
@@ -127,7 +133,7 @@ def measure_selectors(cx) -> tuple[dict, dict]:
         "reduce_vector_calls": calls,
         "process_peak_rss_mib": round(peak, 1),
     }
-    return {"selectors": sec}, counters
+    return sec, counters, cx
 
 
 def git(*args: str) -> str | None:
@@ -142,9 +148,10 @@ def main() -> int:
     seconds = {g: {} for g in STAGES}
     counters = {g: {} for g in STAGES}
     for n in SIZES:
-        cx = build_torus_grid(n, n)
+        sec, cnt, cx = measure_full(n)
         for g in STAGES:
-            sec, cnt = measure_selectors(cx) if g == FULL else measure(cx, g)
+            if g != FULL:
+                sec, cnt = measure(cx, g)
             seconds[g][f"{n}x{n}"] = {k: round(v, 6) for k, v in sec.items()}
             counters[g][f"{n}x{n}"] = cnt
             print(f"{g:>12} {n:>3}² " + "  ".join(f"{k} {v:.4f}s" for k, v in sec.items()),
