@@ -257,9 +257,9 @@ def make_field(cx: CellComplex, values) -> ScalarField:
         if not math.isfinite(v):
             raise FieldError(f"non-finite value {v!r} at vertex {i}")
     cell_values = tuple(max(vals[u] for u in c.vertices) for c in cx.cells)
-    by_order = sorted(
-        range(len(cx)), key=lambda cid: (cell_values[cid], cx.cells[cid].dim, cid)
-    )
+    # Cells are numbered dimension by dimension, so a stable sort by value
+    # alone breaks ties by (dim, id).
+    by_order = sorted(range(len(cx)), key=cell_values.__getitem__)
     rank = [0] * len(cx)
     for r, cid in enumerate(by_order):
         rank[cid] = r

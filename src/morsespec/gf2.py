@@ -1,17 +1,19 @@
-"""GF(2) column linear algebra on int bitmasks.
+"""GF(2) column linear algebra on int bitmasks and on sparse row sets.
 
-A vector is a Python int; bit i is coordinate i.  Column reduction keeps at
-most one column per pivot (the highest set bit), processing columns in the
-order given, so every routine here is deterministic.  ``reduce_vector`` is
-the one elimination loop: ``reduce_boundary`` reduces augmented columns whose
-low bits carry the combination and returns the kernel and the pivot rows, and
-``homology_cycles`` walks a chain complex's grades top down with it, so each
-boundary matrix is reduced once (clearing).
+A bitmask vector is a Python int; bit i is coordinate i.  Column reduction
+keeps at most one column per pivot (the highest coordinate), processing
+columns in the order given, so every routine here is deterministic.
+``reduce_vector`` is the one bitmask elimination loop; ``reduce_boundary``
+reduces augmented columns with it whose low bits carry the combination, and
+``reduce_sparse`` does the same on row-index columns held as sets, at a cost
+per entry rather than per top index.  Both return the kernel and the pivot
+rows, and ``homology_cycles`` walks a chain complex's grades top down with
+either one, so each boundary matrix is reduced once (clearing).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Container, Iterable, Iterator
+from collections.abc import Callable, Container, Iterable, Iterator, Sequence
 
 
 def pivot(v: int) -> int:
@@ -69,21 +71,52 @@ def reduce_boundary(columns: list[int], skip: Container[int] = ()) -> tuple[list
     return out, {p - n for p in ech}
 
 
+def reduce_sparse(
+    columns: Sequence[Iterable[int]], skip: Container[int] = ()
+) -> tuple[list[set[int]], set[int]]:
+    """``reduce_boundary`` on columns given as row indices.
+
+    Column j is reduced as a set of rows with the set {j} beside it for its
+    combination; XOR is ``^=`` on both and the pivot is the largest row.  The
+    kernel combinations (sets of column indices) and the pivot rows equal
+    ``reduce_boundary``'s on the same columns as masks, in the same order.
+    """
+    ech: dict[int, tuple[set[int], set[int]]] = {}
+    out = []
+    for j, col in enumerate(columns):
+        if j in skip:
+            continue
+        rows, combo = set(col), {j}
+        while rows:
+            p = max(rows)
+            entry = ech.get(p)
+            if entry is None:
+                ech[p] = (rows, combo)
+                break
+            rows ^= entry[0]
+            combo ^= entry[1]
+        else:
+            out.append(combo)
+    return out, set(ech)
+
+
 def homology_cycles(
-    top: int, boundary: Callable[[int, set[int]], list[int]]
-) -> Iterator[tuple[int, list[int]]]:
-    """(k, cycle masks) for k = top..0: a homology basis of each grade.
+    top: int, boundary: Callable[[int, set[int]], list], reduce: Callable[..., tuple[list, set]]
+) -> Iterator[tuple[int, list]]:
+    """(k, cycles) for k = top..0: a homology basis of each grade.
 
     ``boundary(k, cleared)`` returns the columns of the boundary leaving
     grade k, one per k-cell; the columns whose index is in ``cleared`` (the
     pivot rows of the boundary leaving grade k+1) are skipped, so they may be
-    given as 0.  The masks of grade k are the kernel of that matrix without
-    the cleared columns.  A mask's top bit is no pivot row of the grade above,
-    so the masks stay independent modulo boundaries.
+    given empty.  ``reduce`` is ``reduce_boundary`` for bitmask columns or
+    ``reduce_sparse`` for index lists, and a grade's cycles are its kernel
+    combinations without the cleared columns.  A cycle's top index is no
+    pivot row of the grade above, so the cycles stay independent modulo
+    boundaries.
     """
     cleared: set[int] = set()
     for k in range(top, -1, -1):
-        cycles, cleared = reduce_boundary(boundary(k, cleared), cleared)
+        cycles, cleared = reduce(boundary(k, cleared), cleared)
         yield k, cycles
 
 

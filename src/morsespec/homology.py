@@ -5,15 +5,19 @@ No matchings, no flow: the incidence matrices go through the same
 boundary matrix reduced once with the columns that the grade above cleared
 skipped.  It supplies the canonical homology classes of class selectors.
 
+A cell has a few faces however many cells its dimension holds, so the
+columns are row-index lists, reduced by ``gf2.reduce_sparse`` in memory
+linear in their entries (the Morse complex keeps bitmasks).
+
 Chains over the full complex are frozensets of cell ids.  A complex numbers
-its cells dimension by dimension, so bit i of a d-chain mask is the cell
+its cells dimension by dimension, so row i of a d-chain is the cell
 ``ids_of_dim(d)[i]``; column j of a boundary matrix belongs to the j-th cell
-of its dimension, and kernel combination masks are themselves chains.
+of its dimension, and kernel combinations are themselves chains.
 """
 
 from __future__ import annotations
 
-from collections.abc import Container
+from collections.abc import Container, Sequence
 from dataclasses import dataclass, field
 
 from . import gf2
@@ -37,11 +41,12 @@ class HomologyClass:
         return bool(self.support)
 
 
-def boundary_columns(cx: CellComplex, dim: int, skip: Container[int] = ()) -> list[int]:
-    """Columns of the boundary matrix from dim-cells to (dim-1)-cells; those in skip are 0."""
+def boundary_columns(cx: CellComplex, dim: int, skip: Container[int] = ()) -> list[Sequence[int]]:
+    """Columns of the boundary matrix from dim-cells to (dim-1)-cells as row
+    indices (face id minus the first (dim-1)-cell id); those in skip are ()."""
     rows = cx.ids_of_dim(dim - 1).start
     return [
-        0 if j in skip else gf2.from_bits(f - rows for f in c.faces)
+        () if j in skip else [f - rows for f in c.faces]
         for j, c in enumerate(cx.cells_of_dim(dim))
     ]
 
@@ -60,13 +65,15 @@ def is_cycle(cx: CellComplex, support) -> bool:
 
 def homology_basis(cx: CellComplex) -> dict[int, list[HomologyClass]]:
     """A deterministic homology basis per grade: the ``gf2.homology_cycles`` walk
-    over the boundary matrices, columns in id order."""
-    walk = gf2.homology_cycles(cx.top_dim, lambda d, cleared: boundary_columns(cx, d, cleared))
+    over the boundary matrices, columns in id order, reduced sparse."""
+    walk = gf2.homology_cycles(
+        cx.top_dim, lambda d, cleared: boundary_columns(cx, d, cleared), gf2.reduce_sparse
+    )
     out: dict[int, list[HomologyClass]] = {}
     for d, cycles in walk:
         ids = cx.ids_of_dim(d)
         out[d] = [
-            HomologyClass(d, frozenset(ids[i] for i in gf2.to_bits(v)), "full", owner=cx)
-            for v in cycles
+            HomologyClass(d, frozenset(ids[i] for i in combo), "full", owner=cx)
+            for combo in cycles
         ]
     return dict(sorted(out.items()))

@@ -22,7 +22,8 @@ walk, which decides each matched lower cell once, upstream first:
 deformation-retract style equivalence realizing the matching's homology
 isomorphism at chain level.  The Morse complex thus has the homology of the
 full complex, and both take their cycles from one top-down
-``gf2.homology_cycles`` walk (here ``homology_basis``, which ``betti`` counts).
+``gf2.homology_cycles`` walk (here ``homology_basis``, which ``betti`` counts,
+on bitmask columns with ``gf2.reduce_boundary``).
 """
 
 from __future__ import annotations
@@ -410,7 +411,9 @@ def check_order_decreasing(mc: MorseComplex) -> bool:
 
 def homology_basis(mc: MorseComplex) -> dict[int, list[HomologyClass]]:
     """Per grade, a deterministic GF(2) basis of cycles modulo boundaries."""
-    walk = gf2.homology_cycles(mc.complex.top_dim, lambda k, _: mc.boundary.get(k, []))
+    walk = gf2.homology_cycles(
+        mc.complex.top_dim, lambda k, _: mc.boundary.get(k, []), gf2.reduce_boundary
+    )
     return {
         k: [HomologyClass(k, mc.unmask(k, v), "morse", owner=mc) for v in cycles]
         for k, cycles in sorted(walk)

@@ -3,9 +3,10 @@
 These run no ``gf2.homology_cycles`` walk: Betti numbers count ranks from
 ``gf2.echelonize`` of every boundary matrix, a boundary test reduces the
 chain against the echelon of the boundary entering its grade, and class
-coordinates solve one linear system of boundaries plus basis classes.  A
-d-chain is a mask over ``cx.ids_of_dim(d)`` with bit i the cell
-``ids_of_dim(d)[i]``, as in ``morsespec.homology``.
+coordinates solve one linear system of boundaries plus basis classes.  They
+stay on bitmasks: ``boundary_masks`` turns the index-list columns of
+``morsespec.homology.boundary_columns`` into masks, and a d-chain is a mask
+over ``cx.ids_of_dim(d)`` with bit i the cell ``ids_of_dim(d)[i]``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ def solve(columns: list[int], target: int) -> int | None:
     return None
 
 
+def boundary_masks(cx, dim: int) -> list[int]:
+    """The boundary matrix from dim-cells to (dim-1)-cells as bitmask columns."""
+    return [gf2.from_bits(col) for col in fullh.boundary_columns(cx, dim)]
+
+
 def chain_mask(cx, grade: int, support) -> int:
     ids = cx.ids_of_dim(grade)
     stray = sorted(c for c in support if c not in ids)
@@ -38,7 +44,7 @@ def chain_mask(cx, grade: int, support) -> int:
 
 def betti_numbers(cx) -> list[int]:
     """Betti numbers b_0..b_top by rank counting on the boundary matrices."""
-    ranks = [len(gf2.echelonize(fullh.boundary_columns(cx, d))) for d in range(cx.top_dim + 2)]
+    ranks = [len(gf2.echelonize(boundary_masks(cx, d))) for d in range(cx.top_dim + 2)]
     return [
         len(cx.ids_of_dim(d)) - ranks[d] - ranks[d + 1] for d in range(cx.top_dim + 1)
     ]
@@ -48,7 +54,7 @@ def is_boundary(cx, grade: int, support) -> bool:
     """True iff the chain is a mod-2 boundary in the full complex."""
     if grade >= cx.top_dim:
         return not support
-    ech = gf2.echelonize(fullh.boundary_columns(cx, grade + 1))
+    ech = gf2.echelonize(boundary_masks(cx, grade + 1))
     return not gf2.reduce_vector(chain_mask(cx, grade, support), ech)
 
 
@@ -58,7 +64,7 @@ def classes_equal(cx, grade: int, a, b) -> bool:
 
 def class_coordinates(cx, grade: int, support, basis) -> list[int]:
     """Coordinates of [support] in the given homology basis of that grade."""
-    bcols = fullh.boundary_columns(cx, grade + 1)
+    bcols = boundary_masks(cx, grade + 1)
     cols = bcols + [chain_mask(cx, grade, h.support) for h in basis]
     combo = solve(cols, chain_mask(cx, grade, support))
     if combo is None:

@@ -2,8 +2,11 @@
 
 Both ``homology_basis`` routes, and ``MorseComplex.betti``, take their
 cycles from one ``gf2.homology_cycles`` walk: the grades top down, each
-boundary matrix reduced once with ``gf2.reduce_boundary``, skipping every
-column that is a pivot row of the boundary from the grade above (clearing).
+boundary matrix reduced once, skipping every column that is a pivot row of
+the boundary from the grade above (clearing).  The Morse route reduces
+bitmask columns with ``gf2.reduce_boundary``; the full-complex route reduces
+index-list columns with ``gf2.reduce_sparse``, which must return what
+``gf2.reduce_boundary`` returns on the same columns as masks.
 The reference here is the route without clearing: a kernel basis built by
 an explicit (column, combination) pair loop over every column, then each
 kernel vector reduced against the echelon of the boundary from the grade
@@ -67,16 +70,17 @@ def check_full_complex(cx):
     cleared = set()
     for d in range(cx.top_dim, -1, -1):
         cells = [c.id for c in cx.cells if c.dim == d]
-        d_in = fullh.boundary_columns(cx, d)
-        d_out = fullh.boundary_columns(cx, d + 1)
+        d_in = oracles.boundary_masks(cx, d)
+        d_out = oracles.boundary_masks(cx, d + 1)
         cycles = uncleared_cycle_basis(d_in, d_out)
         expected = [frozenset(cells[i] for i in gf2.to_bits(v)) for v in cycles]
         assert [h.support for h in basis[d]] == expected
         # The cleared columns change no pivot: the next grade skips exactly
         # the echelon pivots of this boundary matrix.
+        combos, pivots = gf2.reduce_sparse(fullh.boundary_columns(cx, d), cleared)
         masks, cleared = gf2.reduce_boundary(d_in, cleared)
-        assert masks == cycles
-        assert cleared == gf2.echelonize(d_in).keys()
+        assert masks == cycles == [gf2.from_bits(c) for c in combos]
+        assert cleared == pivots == gf2.echelonize(d_in).keys()
 
 
 def check_morse_complex(mc):
@@ -135,7 +139,7 @@ def test_3torus_bases_match_uncleared(shape):
     cx.validate()
     # Every boundary matrix has positive rank, so clearing skips columns of
     # grades 2, 1 and 0.
-    assert all(gf2.echelonize(fullh.boundary_columns(cx, d)) for d in (1, 2, 3))
+    assert all(gf2.echelonize(oracles.boundary_masks(cx, d)) for d in (1, 2, 3))
     check_full_complex(cx)
     assert oracles.betti_numbers(cx) == [1, 3, 3, 1]
     rng = random.Random(8)
@@ -172,3 +176,21 @@ def test_reduce_boundary_pivots_are_the_echelon_pivots(data):
                      else st.just(set()))
     assert gf2.reduce_boundary(cols, skip) == ([m for m in masks if gf2.pivot(m) not in skip],
                                                pivots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reduce_sparse_equals_reduce_boundary(data):
+    width = data.draw(st.integers(1, 12), label="width")
+    cols = data.draw(st.lists(st.lists(st.integers(0, width - 1), unique=True, max_size=6),
+                              max_size=16), label="cols")
+    masks = [gf2.from_bits(col) for col in cols]
+    combos, pivots = gf2.reduce_sparse(cols)
+    assert ([gf2.from_bits(c) for c in combos], pivots) == gf2.reduce_boundary(masks)
+    # Clearing hands down pivot rows of the boundary into this grade: each is
+    # the top index of a cycle, so skip sets are drawn from those tops.
+    dependent = [gf2.pivot(m) for m in gf2.reduce_boundary(masks)[0]]
+    skip = data.draw(st.sets(st.sampled_from(dependent)) if dependent else st.just(set()))
+    combos, pivots = gf2.reduce_sparse(cols, skip)
+    assert ([gf2.from_bits(c) for c in combos], pivots) == gf2.reduce_boundary(masks, skip)
+

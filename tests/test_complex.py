@@ -118,6 +118,37 @@ def test_constant_field_order_falls_back():
     assert keys == sorted(keys)
 
 
+def three_part_order_rank(fld):
+    """``order_rank`` by the explicit (cell value, dimension, id) key."""
+    cx = fld.complex
+    by_order = sorted(range(len(cx)), key=lambda c: (fld.cell_values[c], cx.cells[c].dim, c))
+    rank = [0] * len(cx)
+    for r, c in enumerate(by_order):
+        rank[c] = r
+    return tuple(rank)
+
+
+def test_order_rank_is_the_value_dim_id_order(corpus):
+    """``make_field`` sorts by value alone (stable); ties, which plateau and
+    constant fields make by the thousand, must still fall to (dim, id)."""
+    rng = random.Random(13)
+    fields = [fld for _, fld in corpus]
+    complexes = [cx for cx, _ in corpus] + [
+        build_torus_grid(nx, ny) for nx, ny in ((2, 5), (7, 3), (16, 16))
+    ]
+    complexes += [random_simplicial(rng) for _ in range(20)]
+    complexes += [cubical_3torus(3, 3, 3), cubical_3torus(4, 4, 3)]
+    for cx in complexes:
+        n = cx.n_vertices
+        fields.append(dyadic_field(cx, rng))
+        fields.append(make_field(cx, [rng.randrange(3) / 2 for _ in range(n)]))
+        fields.append(make_field(cx, [rng.randrange(2) for _ in range(n)]))
+        fields.append(make_field(cx, [0.0] * n))
+    assert sum(len(set(f.cell_values)) < len(f.complex) // 4 for f in fields) > 100
+    for fld in fields:
+        assert fld.order_rank == three_part_order_rank(fld)
+
+
 def test_edge_values_on_cycle():
     cx = cycle_graph(4)
     fld = make_field(cx, [0.0, 1.0, 2.0, 1.0])

@@ -1,4 +1,4 @@
-"""Wall time of the pipeline stages at fixed sizes, recorded in BENCH_12.json.
+"""Wall time of the pipeline stages at fixed sizes, recorded in BENCH_13.json.
 
 Usage (from any directory, no flags, no environment variables):
 
@@ -26,12 +26,12 @@ stages are compared on the same number of samples.  Each group also reports the 
 structural counters.  The selector counters are, per grade d, the columns
 of the d-th boundary matrix that a cleared reduction reduces and the ones it
 skips (the rank of the (d+1)-th), read off the basis sizes; next to them,
-``reduce_vector_calls`` counts, in one more untimed run, the columns that
-the code under test actually sent through ``gf2.reduce_vector``, and
+``reduce_sparse_columns`` counts, in one more untimed run, the columns that
+``gf2.reduce_sparse`` was actually handed and did not skip, and
 ``process_peak_rss_mib`` is the process's peak resident set right after the
 selectors at that size.
 
-The run is stored in ``BENCH_12.json`` at the checkout root under
+The run is stored in ``BENCH_13.json`` at the checkout root under
 ``runs[LABEL]``: LABEL is the git SHA of HEAD, with ``+worktree`` appended
 when ``src/`` differs from HEAD.  Everything else already in the file is
 kept, so the runs of other commits and any benchmark numbers recorded there
@@ -66,7 +66,7 @@ STAGES = {
            "verify_d_squared+to_json_dict", "expand")
        for f in FIELDS},
 }
-OUT = ROOT / "BENCH_12.json"
+OUT = ROOT / "BENCH_13.json"
 
 
 def timed(fn):
@@ -114,23 +114,23 @@ def measure_full(n: int) -> tuple[dict, dict, object]:
         cleared[d] = rank_above
         reduced[d] = len(cx.cells_of_dim(d)) - rank_above
         rank_above = reduced[d] - len(basis[d])
-    calls = 0
-    plain = gf2.reduce_vector
+    columns = 0
+    plain = gf2.reduce_sparse
 
-    def counted(v, ech):
-        nonlocal calls
-        calls += 1
-        return plain(v, ech)
+    def counted(cols, skip):
+        nonlocal columns
+        columns += sum(j not in skip for j in range(len(cols)))
+        return plain(cols, skip)
 
-    gf2.reduce_vector = counted
+    gf2.reduce_sparse = counted
     try:
         fullh.homology_basis(cx)
     finally:
-        gf2.reduce_vector = plain
+        gf2.reduce_sparse = plain
     counters = {
         "columns_reduced": reduced,
         "columns_cleared": cleared,
-        "reduce_vector_calls": calls,
+        "reduce_sparse_columns": columns,
         "process_peak_rss_mib": round(peak, 1),
     }
     return sec, counters, cx
