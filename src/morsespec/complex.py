@@ -3,7 +3,9 @@
 Two builders are provided: a cubical grid on the flat 2-torus and the closure
 of a list of maximal simplices.  Both produce :class:`CellComplex` objects
 whose incidence data is purely combinatorial and taken mod 2 (no orientation
-signs are stored).
+signs are stored).  A cell is its id: a complex keeps one face tuple and one
+vertex tuple per id, numbers its cells dimension by dimension and records
+the first id of each dimension, from which a cell's dimension is read.
 
 A :class:`ScalarField` assigns one real value per vertex.  Values extend to
 higher cells by taking the maximum over the cell's vertices, so sublevel sets
@@ -16,10 +18,9 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import pairwise
-from operator import attrgetter
 from pathlib import Path
 
 from .errors import (
@@ -31,59 +32,55 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class Cell:
-    """One cell: dense id, dimension, codimension-1 face ids, vertex ids."""
-
-    id: int
-    dim: int
-    faces: tuple[int, ...]
-    vertices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class CellComplex:
     """A finite regular cell complex with mod-2 incidence.
 
-    cells are ordered by id (ids are dense, 0..len-1) and numbered dimension
-    by dimension, so the d-cells hold the ids ``ids_of_dim(d)``.
+    A cell is its id, 0..len-1: ``faces[c]`` lists the ids of its
+    codimension-1 faces and ``vertices[c]`` the ids of its vertices.  Cells
+    are numbered dimension by dimension, and ``starts[d]`` is the id of the
+    first d-cell, with ``starts[-1]`` the number of cells; so the d-cells hold
+    the ids ``ids_of_dim(d)`` and ``dim(c)`` is read off the offsets.
     ``descriptor`` records provenance: ``"torus:NX:NY"`` for grid builds,
     ``"simplicial"`` otherwise.
     """
 
-    cells: tuple[Cell, ...]
-    top_dim: int
+    faces: tuple[tuple[int, ...], ...]
+    vertices: tuple[tuple[int, ...], ...]
+    starts: tuple[int, ...]
     descriptor: str
     _cofaces: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for prev, c in pairwise(self.cells):
-            if c.dim < prev.dim:
-                raise ComplexBuildError(
-                    f"cell {c.id} (dim {c.dim}) follows cell {prev.id} (dim {prev.dim})"
-                )
-        dim = attrgetter("dim")
-        starts = tuple(bisect_left(self.cells, d, key=dim) for d in range(self.top_dim + 2))
-        object.__setattr__(self, "_starts", starts)
-        cof: list[list[int]] = [[] for _ in self.cells]
-        for c in self.cells:
-            for f in c.faces:
-                cof[f].append(c.id)
-        object.__setattr__(self, "_cofaces", tuple(tuple(x) for x in cof))
+        n, s = len(self.faces), self.starts
+        if len(self.vertices) != n:
+            raise ComplexBuildError(f"{n} face lists but {len(self.vertices)} vertex lists")
+        if len(s) < 2 or s[0] != 0 or s[-1] != n or any(a > b for a, b in pairwise(s)):
+            raise ComplexBuildError(
+                f"dimension offsets {list(s)} do not rise from 0 to the {n} cells"
+            )
+        cof: list[list[int]] = [[] for _ in range(n)]
+        for c, fs in enumerate(self.faces):
+            for f in fs:
+                cof[f].append(c)
+        object.__setattr__(self, "_cofaces", tuple(map(tuple, cof)))
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.faces)
+
+    @property
+    def top_dim(self) -> int:
+        return len(self.starts) - 2
 
     def cofaces(self, cell_id: int) -> tuple[int, ...]:
         return self._cofaces[cell_id]
 
+    def dim(self, cell_id: int) -> int:
+        """Dimension of a cell, read off the offsets."""
+        return bisect_right(self.starts, cell_id) - 1
+
     def ids_of_dim(self, dim: int) -> range:
         """Ids of the dim-cells; empty outside 0..top_dim."""
-        return range(*self._starts[dim : dim + 2]) if 0 <= dim <= self.top_dim else range(0)
-
-    def cells_of_dim(self, dim: int) -> tuple[Cell, ...]:
-        ids = self.ids_of_dim(dim)
-        return self.cells[ids.start : ids.stop]
+        return range(*self.starts[dim : dim + 2]) if 0 <= dim <= self.top_dim else range(0)
 
     @property
     def n_vertices(self) -> int:
@@ -102,31 +99,31 @@ class CellComplex:
     def validate(self) -> None:
         """Check the structural invariants; raise ComplexBuildError on failure.
 
-        Checks: dense ids, duplicate-free face lists, faces of a d-cell have
-        dimension d-1, and every (d, d-2) cell pair has an even number of
-        (d-1)-cells between them (the mod-2 boundary-of-boundary condition).
+        Checks: duplicate-free face lists, faces of a d-cell have dimension
+        d-1, and every (d, d-2) cell pair has an even number of (d-1)-cells
+        between them (the mod-2 boundary-of-boundary condition).
         """
-        for i, c in enumerate(self.cells):
-            if c.id != i:
-                raise ComplexBuildError(f"cell ids not dense at position {i}")
-            if len(set(c.faces)) != len(c.faces):
-                raise ComplexBuildError(f"duplicate face in cell {c.id}")
-            for f in c.faces:
-                if self.cells[f].dim != c.dim - 1:
-                    raise ComplexBuildError(
-                        f"cell {c.id} (dim {c.dim}) lists face {f} "
-                        f"of dim {self.cells[f].dim}"
-                    )
-            if c.dim >= 2:
-                counts: dict[int, int] = {}
-                for f in c.faces:
-                    for g in self.cells[f].faces:
-                        counts[g] = counts.get(g, 0) + 1
-                odd = [g for g, n in counts.items() if n % 2]
-                if odd:
-                    raise ComplexBuildError(
-                        f"odd face-of-face incidence between cell {c.id} and {odd}"
-                    )
+        for d in range(self.top_dim + 1):
+            below = self.ids_of_dim(d - 1)
+            for c in self.ids_of_dim(d):
+                fs = self.faces[c]
+                if len(set(fs)) != len(fs):
+                    raise ComplexBuildError(f"duplicate face in cell {c}")
+                for f in fs:
+                    if f not in below:
+                        raise ComplexBuildError(
+                            f"cell {c} (dim {d}) lists face {f} of dim {self.dim(f)}"
+                        )
+                if d >= 2:
+                    counts: dict[int, int] = {}
+                    for f in fs:
+                        for g in self.faces[f]:
+                            counts[g] = counts.get(g, 0) + 1
+                    odd = [g for g, n in counts.items() if n % 2]
+                    if odd:
+                        raise ComplexBuildError(
+                            f"odd face-of-face incidence between cell {c} and {odd}"
+                        )
 
 
 def build_torus_grid(nx: int, ny: int) -> CellComplex:
@@ -145,32 +142,23 @@ def build_torus_grid(nx: int, ny: int) -> CellComplex:
     if nx < 2 or ny < 2:
         raise ComplexBuildError(f"torus grid needs nx, ny >= 2, got ({nx}, {ny})")
     nv = nx * ny
-    vid = lambda i, j: (j % ny) * nx + (i % nx)
-    hid = lambda i, j: nv + (j % ny) * nx + (i % nx)
-    uid = lambda i, j: 2 * nv + (j % ny) * nx + (i % nx)
-    sid = lambda i, j: 3 * nv + (j % ny) * nx + (i % nx)
-
-    cells: list[Cell] = []
-    for j in range(ny):
-        for i in range(nx):
-            v = vid(i, j)
-            cells.append(Cell(v, 0, (), (v,)))
-    for j in range(ny):
-        for i in range(nx):
-            ends = tuple(sorted({vid(i, j), vid(i + 1, j)}))
-            cells.append(Cell(hid(i, j), 1, ends, ends))
-    for j in range(ny):
-        for i in range(nx):
-            ends = tuple(sorted({vid(i, j), vid(i, j + 1)}))
-            cells.append(Cell(uid(i, j), 1, ends, ends))
-    for j in range(ny):
-        for i in range(nx):
-            faces = (hid(i, j), hid(i, j + 1), uid(i, j), uid(i + 1, j))
-            corners = tuple(
-                sorted({vid(i, j), vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1)})
-            )
-            cells.append(Cell(sid(i, j), 2, faces, corners))
-    return CellComplex(tuple(cells), 2, f"torus:{nx}:{ny}")
+    # v(i,j), v(i+1,j), v(i,j+1), v(i+1,j+1) for each corner v(i,j), in id order;
+    # the edges and the square at a corner take its id plus their offset.
+    quads = [
+        (r + i, r + i1, r1 + i, r1 + i1)
+        for r, r1 in [(j * nx, (j + 1) % ny * nx) for j in range(ny)]
+        for i, i1 in [(i, (i + 1) % nx) for i in range(nx)]
+    ]
+    h_ends = tuple((a, b) if a < b else (b, a) for a, b, _, _ in quads)
+    v_ends = tuple((a, c) if a < c else (c, a) for a, _, c, _ in quads)
+    squares = tuple((nv + a, nv + c, 2 * nv + a, 2 * nv + b) for a, b, c, _ in quads)
+    corners = tuple(tuple(sorted(q)) for q in quads)
+    return CellComplex(
+        ((),) * nv + h_ends + v_ends + squares,
+        tuple((v,) for v in range(nv)) + h_ends + v_ends + corners,
+        (0, nv, 3 * nv, 4 * nv),
+        f"torus:{nx}:{ny}",
+    )
 
 
 def torus_vertex_id(cx: CellComplex, i: int, j: int) -> int:
@@ -214,18 +202,16 @@ def build_from_simplicial(spec: list[list[int]]) -> CellComplex:
         by_dim.setdefault(len(s) - 1, []).append(mapped)
 
     ids: dict[tuple[int, ...], int] = {}
-    cells: list[Cell] = []
-    top = max(by_dim)
-    for d in range(top + 1):
+    faces: list[tuple[int, ...]] = []
+    vertices: list[tuple[int, ...]] = []
+    starts = [0]
+    for d in range(max(by_dim) + 1):
         for s in sorted(by_dim.get(d, [])):
-            cid = len(cells)
-            ids[s] = cid
-            if d == 0:
-                cells.append(Cell(cid, 0, (), s))
-            else:
-                faces = tuple(ids[s[:k] + s[k + 1 :]] for k in range(len(s)))
-                cells.append(Cell(cid, d, faces, s))
-    return CellComplex(tuple(cells), top, "simplicial")
+            ids[s] = len(faces)
+            faces.append(tuple(ids[s[:k] + s[k + 1 :]] for k in range(len(s))) if d else ())
+            vertices.append(s)
+        starts.append(len(faces))
+    return CellComplex(tuple(faces), tuple(vertices), tuple(starts), "simplicial")
 
 
 @dataclass(frozen=True)
@@ -256,7 +242,7 @@ def make_field(cx: CellComplex, values) -> ScalarField:
     for i, v in enumerate(vals):
         if not math.isfinite(v):
             raise FieldError(f"non-finite value {v!r} at vertex {i}")
-    cell_values = tuple(max(vals[u] for u in c.vertices) for c in cx.cells)
+    cell_values = tuple(max(vals[u] for u in vs) for vs in cx.vertices)
     # Cells are numbered dimension by dimension, so a stable sort by value
     # alone breaks ties by (dim, id).
     by_order = sorted(range(len(cx)), key=cell_values.__getitem__)

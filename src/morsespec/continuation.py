@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ChainError
 from .homology import HomologyClass
 from .morse import MorseComplex, check_one_complex, homology_basis, same_class
 from .spectral import spectral_value
@@ -44,19 +43,15 @@ def _transfer(mc_src: MorseComplex, mc_dst: MorseComplex, support) -> frozenset[
     return mc_dst.gradient.flow_down(mc_src.gradient.expand(support))
 
 
-def _check_source_class(mc: MorseComplex, X: HomologyClass) -> None:
-    if not X.support:
-        raise ChainError("zero class has no continuation image")
-    if not mc.is_cycle(X.grade, mc.mask(X.grade, X.support)):
-        raise ChainError("representative is not a cycle")
-
-
 def continuation_map(
     mc_minus: MorseComplex, mc_plus: MorseComplex, X: HomologyClass
 ) -> HomologyClass:
-    """Image of a class of the source field in the target field's complex."""
+    """Image of a class of the source field in the target field's complex.
+
+    X must be a nonzero cycle of ``mc_minus`` (``MorseComplex.class_mask``).
+    """
     check_one_complex(mc_minus, mc_plus)
-    _check_source_class(mc_minus, X)
+    mc_minus.class_mask(X)
     image = _transfer(mc_minus, mc_plus, X.support)
     return HomologyClass(X.grade, image, "morse", owner=mc_plus)
 
@@ -93,16 +88,13 @@ def sandwich_built(
 ) -> ContinuationReport:
     """Evaluate the two-sided bound on the spectral-value shift of X.
 
-    X is a class of ``mc_minus``; both Morse complexes must live on one cell
-    complex.  The inequality is exact in this model, so ``passed`` is
-    expected to be true on every input; both bounds are attained when the
-    fields differ by a constant.
+    X is a class of ``mc_minus``, checked as ``spectral_value`` checks it;
+    both Morse complexes must live on one cell complex.  The inequality is
+    exact in this model, so ``passed`` is expected to be true on every input;
+    both bounds are attained when the fields differ by a constant.
     """
     check_one_complex(mc_minus, mc_plus)
-    _check_source_class(mc_minus, X)
-    source = spectral_value(
-        mc_minus, HomologyClass(X.grade, X.support, "morse", owner=mc_minus)
-    )
+    source = spectral_value(mc_minus, X)
     image = _transfer(mc_minus, mc_plus, X.support)
     target = spectral_value(
         mc_plus, HomologyClass(X.grade, image, "morse", owner=mc_plus)

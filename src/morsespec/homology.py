@@ -44,10 +44,10 @@ class HomologyClass:
 def boundary_columns(cx: CellComplex, dim: int, skip: Container[int] = ()) -> list[Sequence[int]]:
     """Columns of the boundary matrix from dim-cells to (dim-1)-cells as row
     indices (face id minus the first (dim-1)-cell id); those in skip are ()."""
-    rows = cx.ids_of_dim(dim - 1).start
+    ids, rows = cx.ids_of_dim(dim), cx.ids_of_dim(dim - 1).start
     return [
-        () if j in skip else [f - rows for f in c.faces]
-        for j, c in enumerate(cx.cells_of_dim(dim))
+        () if j in skip else [f - rows for f in fs]
+        for j, fs in enumerate(cx.faces[ids.start : ids.stop])
     ]
 
 
@@ -55,7 +55,7 @@ def boundary_support(cx: CellComplex, support) -> frozenset[int]:
     """Mod-2 boundary of a chain given as a set of cell ids."""
     out: set[int] = set()
     for cid in support:
-        out.symmetric_difference_update(cx.cells[cid].faces)
+        out.symmetric_difference_update(cx.faces[cid])
     return frozenset(out)
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from . import gf2
 from .complex import CellComplex, ScalarField
 from .errors import ChainError, ComplexBuildError, ComplexMismatchError, GradientCycleError
-from .homology import HomologyClass
+from .homology import HomologyClass, boundary_support
 
 _GRAY = object()  # in-progress marker of the V-path walk
 
@@ -43,15 +43,14 @@ _GRAY = object()  # in-progress marker of the V-path walk
 class DiscreteGradient:
     """A lower-star acyclic matching.
 
-    ``pair_up`` maps a cell to its matched coface, ``pair_down`` is the
-    inverse, and ``critical`` collects everything unmatched.  ``tie_break``
-    records which id order broke value ties ("id" or "reverse-id").
+    ``pair_up`` maps a cell to its matched coface, and ``critical`` collects
+    everything unmatched.  ``tie_break`` records which id order broke value
+    ties ("id" or "reverse-id").
     """
 
     complex: CellComplex
     field: ScalarField
     pair_up: dict[int, int]
-    pair_down: dict[int, int]
     critical: frozenset[int]
     tie_break: str = "id"
 
@@ -64,7 +63,7 @@ class DiscreteGradient:
         coface that is itself a matched lower cell.  Each cell comes after
         every cell it reaches; a back edge closes a V-path and raises.
         """
-        cells, up = self.complex.cells, self.pair_up
+        faces, up = self.complex.faces, self.pair_up
         mark: dict[int, object] = {}
         order: list[int] = []
         stack = [q for q in starts if q in up]
@@ -76,7 +75,7 @@ class DiscreteGradient:
             elif q not in mark:
                 mark[q] = _GRAY
                 stack.append(q)
-                for f in cells[up[q]].faces:
+                for f in faces[up[q]]:
                     if f != q and f in up:
                         if mark.get(f) is _GRAY:
                             raise GradientCycleError(f"closed V-path at cell {f}")
@@ -90,12 +89,12 @@ class DiscreteGradient:
         cell that can still toggle it: if it is in the chain, the faces of
         its coface are added.  Returns the cofaces used.
         """
-        cells, up = self.complex.cells, self.pair_up
+        faces, up = self.complex.faces, self.pair_up
         used = []
         for q in reversed(self._vpath_order(chain)):
             if q in chain:
                 used.append(up[q])
-                chain.symmetric_difference_update(cells[up[q]].faces)
+                chain.symmetric_difference_update(faces[up[q]])
         return used
 
     # -- flow along the matching -------------------------------------------
@@ -117,11 +116,7 @@ class DiscreteGradient:
         stray = chain - self.critical
         if stray:
             raise ChainError(f"chain touches non-critical cells {sorted(stray)}")
-        cells = self.complex.cells
-        bd: set[int] = set()
-        for cid in chain:
-            bd.symmetric_difference_update(cells[cid].faces)
-        chain.update(self._descend(bd))
+        chain.update(self._descend(set(boundary_support(self.complex, chain))))
         return frozenset(chain)
 
     # -- validation ----------------------------------------------------------
@@ -131,25 +126,21 @@ class DiscreteGradient:
         cx = self.complex
         seen = set(self.critical)
         for q, k in self.pair_up.items():
-            if self.pair_down.get(k) != q:
-                raise ComplexBuildError(f"pair ({q},{k}) missing from inverse map")
             if q in seen or k in seen:
                 raise ComplexBuildError(f"cell in pair ({q},{k}) used twice")
             seen.add(q)
             seen.add(k)
-        if len(self.pair_down) != len(self.pair_up):
-            raise ComplexBuildError("inverse map holds pairs the matching lacks")
         ids = set(range(len(cx)))
         if seen != ids:
             stray, missing = sorted(seen - ids), sorted(ids - seen)
             raise ComplexBuildError(f"matching misses cells: stray {stray}, missing {missing}")
         rank = vertex_rank(self.field, self.tie_break).__getitem__
         for q, k in self.pair_up.items():
-            if cx.cells[k].dim != cx.cells[q].dim + 1 or q not in cx.cells[k].faces:
+            if cx.dim(k) != cx.dim(q) + 1 or q not in cx.faces[k]:
                 raise ComplexBuildError(f"pair ({q},{k}) is not a face-coface pair")
             if self.field.cell_values[q] != self.field.cell_values[k]:
                 raise ComplexBuildError(f"pair ({q},{k}) crosses a level set")
-            if max(map(rank, cx.cells[q].vertices)) != max(map(rank, cx.cells[k].vertices)):
+            if max(map(rank, cx.vertices[q])) != max(map(rank, cx.vertices[k])):
                 raise ComplexBuildError(f"pair ({q},{k}) crosses lower stars")
         self._vpath_order(self.pair_up)
 
@@ -188,23 +179,22 @@ def build_gradient(
         raise ComplexMismatchError("field was built over a different complex")
     rank = vertex_rank(fld, tie_break)
     forward = tie_break == "id"
-    cells = cx.cells
-    key = [  # under "id" the id object itself, not a new int per cell
-        (tuple(sorted([rank[u] for u in c.vertices], reverse=True)), c.dim,
-         c.id if forward else -c.id)
-        for c in cells
+    faces, vertices, edge_ids = cx.faces, cx.vertices, cx.ids_of_dim(1)
+    key = [
+        (tuple(sorted([rank[u] for u in vertices[c]], reverse=True)), d, c if forward else -c)
+        for d in range(cx.top_dim + 1)
+        for c in cx.ids_of_dim(d)
     ]
     stars: list[list[int]] = [[] for _ in rank]
-    for c, k in zip(cells, key):
-        stars[k[0][0]].append(c.id)
+    for c, k in enumerate(key):
+        stars[k[0][0]].append(c)
 
     pair_up: dict[int, int] = {}
-    pair_down: dict[int, int] = {}
     critical: set[int] = set()
 
     def push_candidates(cid: int) -> None:
         for co in cx.cofaces(cid):
-            if co in unpaired and len(unpaired.intersection(cells[co].faces)) == 1:
+            if co in unpaired and len(unpaired.intersection(faces[co])) == 1:
                 heapq.heappush(pq_one, (key[co], co))
 
     for members in stars:
@@ -212,7 +202,7 @@ def build_gradient(
         if len(members) == 1:
             critical.add(v)
             continue
-        edges = [cid for cid in members if cells[cid].dim == 1]
+        edges = [cid for cid in members if cid in edge_ids]
         if not edges:
             raise ComplexBuildError(
                 f"lower star of vertex {v} has no edge; cannot seed the matching"
@@ -220,7 +210,6 @@ def build_gradient(
         first = min(edges, key=key.__getitem__)
         unpaired = set(members) - {v, first}
         pair_up[v] = first
-        pair_down[first] = v
 
         pq_one: list = []
         pq_zero = [(key[cid], cid) for cid in edges if cid != first]
@@ -231,14 +220,13 @@ def build_gradient(
                 _, alpha = heapq.heappop(pq_one)
                 if alpha not in unpaired:
                     continue
-                front = unpaired.intersection(cells[alpha].faces)
+                front = unpaired.intersection(faces[alpha])
                 if not front:
                     heapq.heappush(pq_zero, (key[alpha], alpha))
                     continue
                 (lam,) = front  # pushed with one unpaired face; never more
                 unpaired -= {lam, alpha}
                 pair_up[lam] = alpha
-                pair_down[alpha] = lam
                 push_candidates(alpha)
                 push_candidates(lam)
             while pq_zero:
@@ -250,7 +238,7 @@ def build_gradient(
                 push_candidates(gamma)
                 break
 
-    return DiscreteGradient(cx, fld, pair_up, pair_down, frozenset(critical), tie_break)
+    return DiscreteGradient(cx, fld, pair_up, frozenset(critical), tie_break)
 
 
 @dataclass(eq=False)
@@ -310,6 +298,20 @@ class MorseComplex:
             bits.append(i)
         return gf2.from_bits(bits)
 
+    def class_mask(self, X: HomologyClass) -> int:
+        """Mask of X's representative; raise unless X is a nonzero cycle of
+        this Morse complex (a class with no owner may be one)."""
+        if X.basis != "morse":
+            raise ChainError("expected a Morse-complex class")
+        if X.owner is not None and X.owner is not self:
+            raise ComplexMismatchError("class belongs to a different Morse complex")
+        v = self.mask(X.grade, X.support)
+        if v == 0:
+            raise ChainError("the zero class has no spectral value or continuation image")
+        if not self.is_cycle(X.grade, v):
+            raise ChainError("representative is not a cycle")
+        return v
+
     def unmask(self, grade: int, v: int) -> frozenset[int]:
         cells = self.grades[grade]
         return frozenset(cells[i] for i in gf2.to_bits(v))
@@ -367,12 +369,12 @@ def build_morse_complex(
     rank = fld.order_rank
     grades: dict[int, list[int]] = {}
     for cid in sorted(gradient.critical, key=lambda c: rank[c]):
-        grades.setdefault(cx.cells[cid].dim, []).append(cid)
+        grades.setdefault(cx.dim(cid), []).append(cid)
     mc = MorseComplex(cx, fld, gradient, grades, {})
     for k, cells in grades.items():
         cols = []
         for cid in cells:
-            bd = gradient.flow_down(cx.cells[cid].faces)
+            bd = gradient.flow_down(cx.faces[cid])
             cols.append(mc.mask(k - 1, bd) if k - 1 in grades else 0)
             if bd and k - 1 not in grades:
                 raise ChainError(f"boundary of {cid} hits an absent grade")

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from morsespec import Cell, CellComplex, build_from_simplicial, build_torus_grid, make_field
+from morsespec import CellComplex, build_from_simplicial, build_torus_grid, make_field
 
 DENOM = 1 << 20
 
@@ -65,23 +65,24 @@ def cubical_3torus(n0, n1, n2):
         return tuple((x + (i in axes)) % n for i, (x, n) in enumerate(zip(p, shape)))
 
     ids: dict = {}
-    cells = []
+    faces, vertices, starts = [], [], [0]
     for d in range(4):
         for axes in itertools.combinations(range(3), d):
             for p in points:
-                cid = ids[p, axes] = len(cells)
-                faces = tuple(
+                ids[p, axes] = len(faces)
+                faces.append(tuple(
                     ids[q, tuple(a for a in axes if a != s)]
                     for s in axes
                     for q in (p, shift(p, (s,)))
-                )
+                ))
                 corners = {
                     ids[shift(p, sub), ()]
                     for r in range(d + 1)
                     for sub in itertools.combinations(axes, r)
                 }
-                cells.append(Cell(cid, d, faces, tuple(sorted(corners))))
-    return CellComplex(tuple(cells), 3, f"cubical3:{n0}:{n1}:{n2}")
+                vertices.append(tuple(sorted(corners)))
+        starts.append(len(faces))
+    return CellComplex(tuple(faces), tuple(vertices), tuple(starts), f"cubical3:{n0}:{n1}:{n2}")
 
 
 def random_instance(rng):

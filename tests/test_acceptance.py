@@ -68,7 +68,7 @@ def point_class(cx):
 def fundamental_class(cx):
     return HomologyClass(
         cx.top_dim,
-        frozenset(c.id for c in cx.cells if c.dim == cx.top_dim),
+        frozenset(cx.ids_of_dim(cx.top_dim)),
         "full",
         owner=cx,
     )

@@ -69,7 +69,7 @@ def check_full_complex(cx):
     assert list(basis) == list(range(cx.top_dim + 1))
     cleared = set()
     for d in range(cx.top_dim, -1, -1):
-        cells = [c.id for c in cx.cells if c.dim == d]
+        cells = [c for c in range(len(cx)) if cx.dim(c) == d]
         d_in = oracles.boundary_masks(cx, d)
         d_out = oracles.boundary_masks(cx, d + 1)
         cycles = uncleared_cycle_basis(d_in, d_out)

@@ -12,7 +12,6 @@ from conftest import (
     tetra_boundary,
 )
 from morsespec import (
-    Cell,
     CellComplex,
     build_from_simplicial,
     build_torus_grid,
@@ -34,8 +33,8 @@ def test_torus_counts_and_chi():
         cx = build_torus_grid(nx, ny)
         cx.validate()
         assert cx.n_vertices == nv
-        assert len(cx.cells_of_dim(1)) == 2 * nv
-        assert len(cx.cells_of_dim(2)) == nv
+        assert len(cx.ids_of_dim(1)) == 2 * nv
+        assert len(cx.ids_of_dim(2)) == nv
         assert cx.euler_characteristic() == 0
 
 
@@ -73,38 +72,49 @@ def test_ids_of_dim_partitions_the_cells(corpus):
         ranges = [cx.ids_of_dim(d) for d in range(cx.top_dim + 1)]
         assert [i for r in ranges for i in r] == list(range(len(cx)))
         for d, r in enumerate(ranges):
-            assert all(cx.cells[i].dim == d for i in r)
-            assert cx.cells_of_dim(d) == tuple(c for c in cx.cells if c.dim == d)
-        assert cx.n_vertices == sum(1 for c in cx.cells if c.dim == 0)
+            assert all(cx.dim(i) == d for i in r)
+            # A d-cell's shape agrees with the dimension its id is filed under.
+            assert all(bool(cx.faces[i]) == (d > 0) for i in r)
+        assert len(cx.faces) == len(cx.vertices) == len(cx)
+        assert all(cx.vertices[v] == (v,) for v in cx.ids_of_dim(0))
+        assert cx.n_vertices == sum(1 for c in range(len(cx)) if cx.dim(c) == 0)
         assert cx.ids_of_dim(-1) == cx.ids_of_dim(cx.top_dim + 1) == range(0)
 
 
-def test_cell_after_a_higher_dimensional_one_is_refused():
-    cells = (
-        Cell(0, 0, (), (0,)),
-        Cell(1, 1, (0, 2), (0, 2)),
-        Cell(2, 0, (), (2,)),
-    )
-    with pytest.raises(ComplexBuildError, match=r"cell 2 \(dim 0\) follows cell 1 \(dim 1\)"):
-        CellComplex(cells, 1, "simplicial")
+@pytest.mark.parametrize(
+    "faces, vertices, starts, expect",
+    [
+        # A vertex filed after an edge: the offsets fall.
+        (((), (0, 2), ()), ((0,), (0, 2), (2,)), (0, 2, 1, 3), "offsets"),
+        (((), ()), ((0,), (1,)), (1, 2), "offsets"),
+        (((), ()), ((0,), (1,)), (0, 3), "offsets"),
+        (((), ()), ((0,), (1,)), (0,), "offsets"),
+        (((), ()), ((0,),), (0, 2), "vertex lists"),
+    ],
+    ids=["falling", "start", "end", "short", "lengths"],
+)
+def test_offsets_that_disagree_with_the_cells_are_refused(faces, vertices, starts, expect):
+    with pytest.raises(ComplexBuildError, match=expect):
+        CellComplex(faces, vertices, starts, "simplicial")
 
 
 def test_cofaces_are_derived_from_faces(corpus):
     for cx, _ in corpus + [(cubical_3torus(3, 3, 3), None)]:
-        for c in cx.cells:
-            assert cx.cofaces(c.id) == tuple(k.id for k in cx.cells if c.id in k.faces)
+        cells = range(len(cx))
+        for c in cells:
+            assert cx.cofaces(c) == tuple(k for k in cells if c in cx.faces[k])
     cx = cycle_graph(3)
     with pytest.raises(TypeError):
-        CellComplex(cx.cells, 1, "simplicial", _cofaces=((),) * len(cx))
+        CellComplex(cx.faces, cx.vertices, cx.starts, "simplicial", _cofaces=((),) * len(cx))
 
 
 def test_corpus_invariants(corpus):
     for cx, fld in corpus:
         cx.validate()
         # face-monotonicity of the total order
-        for c in cx.cells:
-            for f in c.faces:
-                assert fld.order_rank[f] < fld.order_rank[c.id]
+        for c, fs in enumerate(cx.faces):
+            for f in fs:
+                assert fld.order_rank[f] < fld.order_rank[c]
         # order is a strict total order on all cells
         assert sorted(fld.order_rank) == list(range(len(cx)))
 
@@ -114,14 +124,14 @@ def test_constant_field_order_falls_back():
     fld = make_field(cx, [0.0] * 9)
     assert set(fld.cell_values) == {0.0}
     by_rank = sorted(range(len(cx)), key=fld.order_rank.__getitem__)
-    keys = [(cx.cells[c].dim, c) for c in by_rank]
+    keys = [(cx.dim(c), c) for c in by_rank]
     assert keys == sorted(keys)
 
 
 def three_part_order_rank(fld):
     """``order_rank`` by the explicit (cell value, dimension, id) key."""
     cx = fld.complex
-    by_order = sorted(range(len(cx)), key=lambda c: (fld.cell_values[c], cx.cells[c].dim, c))
+    by_order = sorted(range(len(cx)), key=lambda c: (fld.cell_values[c], cx.dim(c), c))
     rank = [0] * len(cx)
     for r, c in enumerate(by_order):
         rank[c] = r
@@ -152,11 +162,11 @@ def test_order_rank_is_the_value_dim_id_order(corpus):
 def test_edge_values_on_cycle():
     cx = cycle_graph(4)
     fld = make_field(cx, [0.0, 1.0, 2.0, 1.0])
-    edges = {tuple(c.vertices): fld.cell_values[c.id] for c in cx.cells_of_dim(1)}
+    edges = {cx.vertices[c]: fld.cell_values[c] for c in cx.ids_of_dim(1)}
     assert edges == {(0, 1): 1.0, (1, 2): 2.0, (2, 3): 2.0, (0, 3): 1.0}
-    for c in cx.cells_of_dim(1):
-        assert fld.cell_values[c.id] >= max(
-            fld.vertex_values[u] for u in c.vertices
+    for c in cx.ids_of_dim(1):
+        assert fld.cell_values[c] >= max(
+            fld.vertex_values[u] for u in cx.vertices[c]
         )
 
 

@@ -47,7 +47,7 @@ def test_point_and_fundamental_map_to_their_kind():
     point = HomologyClass(0, ga.flow_down({0}), "morse", owner=mca)
     img = continuation_map(mca, mcb, point)
     assert img.grade == 0 and len(img.support) == 1
-    top = frozenset(c.id for c in cx.cells if c.dim == 2)
+    top = frozenset(cx.ids_of_dim(2))
     fund = HomologyClass(2, ga.flow_down(top), "morse", owner=mca)
     img = continuation_map(mca, mcb, fund)
     assert img.grade == 2
@@ -157,15 +157,18 @@ def test_grade_preservation():
         for X in classes:
             img = continuation_map(mca, mcb, X)
             assert img.grade == k
-            dims = {cx.cells[c].dim for c in img.support}
+            dims = {cx.dim(c) for c in img.support}
             assert dims <= {k}
 
 
 def test_zero_class_rejected():
     cx = build_torus_grid(3, 3)
     mc = MorseComplex.from_field(cx, dyadic_field(cx, random.Random(48)))
+    zero = HomologyClass(1, frozenset(), "morse", owner=None)
     with pytest.raises(ChainError):
-        continuation_map(mc, mc, HomologyClass(1, frozenset(), "morse", owner=None))
+        continuation_map(mc, mc, zero)
+    with pytest.raises(ChainError):
+        sandwich_built(mc, mc, zero)
 
 
 def test_complexes_of_different_cell_complexes_rejected():
@@ -184,3 +187,22 @@ def test_complexes_of_different_cell_complexes_rejected():
         roundtrip_check(mc1, mc2)
     with pytest.raises(ComplexMismatchError):
         functoriality_check(mc1, mc1, mc2)
+
+
+def test_source_class_must_belong_to_the_source_complex():
+    # Three fields on one torus: a class of mcb is foreign to mca even though
+    # every check on the cell complex passes, and a full-complex class is no
+    # Morse class at all.  Both maps out of mca refuse both, as spectral_value
+    # does.
+    rng = random.Random(50)
+    cx = build_torus_grid(6, 6)
+    mca, mcb, mcc = (MorseComplex.from_field(cx, dyadic_field(cx, rng)) for _ in range(3))
+    foreign = [X for classes in homology_basis(mcb).values() for X in classes]
+    full = [Y for classes in fullh.homology_basis(cx).values() for Y in classes]
+    for run in (continuation_map, sandwich_built):
+        for X in foreign:
+            with pytest.raises(ComplexMismatchError):
+                run(mca, mcc, X)
+        for Y in full:
+            with pytest.raises(ChainError):
+                run(mca, mcc, Y)

@@ -43,7 +43,7 @@ def round_based_flow_down(g, support):
         if not lower:
             return frozenset(chain & g.critical)
         for q in lower:
-            chain.symmetric_difference_update(g.complex.cells[g.pair_up[q]].faces)
+            chain.symmetric_difference_update(g.complex.faces[g.pair_up[q]])
     raise GradientCycleError("projection did not stabilize; matching has a cycle")
 
 
@@ -53,7 +53,7 @@ def round_based_expand(g, support):
     for _ in range(len(g.complex) + 1):
         bd = set()
         for cid in chain:
-            bd.symmetric_difference_update(g.complex.cells[cid].faces)
+            bd.symmetric_difference_update(g.complex.faces[cid])
         kings = {g.pair_up[q] for q in bd if q in g.pair_up}
         if not kings:
             return frozenset(chain)
@@ -98,10 +98,10 @@ def check_flow_down(g, rng):
     cell, on every full homology basis class and on random subsets of one
     dimension's cells; returns the number of chains it moved."""
     cx = g.complex
-    chains = [cx.cells[c].faces for c in sorted(g.critical)]
+    chains = [cx.faces[c] for c in sorted(g.critical)]
     chains += [Y.support for ys in fullh.homology_basis(cx).values() for Y in ys]
     for d in range(cx.top_dim + 1):
-        cells = [c.id for c in cx.cells_of_dim(d)]
+        cells = list(cx.ids_of_dim(d))
         chains += [rng.sample(cells, rng.randint(0, len(cells))) for _ in range(3)]
     moved = 0
     for chain in chains:
@@ -169,18 +169,17 @@ def test_cycle_reached_through_a_king_is_detected():
     # face is vertex 2.
     cx = build_from_simplicial([[0, 1], [1, 2], [0, 2], [2, 3], [3, 4]])
     fld = make_field(cx, [0.0] * 5)
-    edges = {tuple(c.vertices): c.id for c in cx.cells_of_dim(1)}
+    edges = {cx.vertices[c]: c for c in cx.ids_of_dim(1)}
     pair_up = {0: edges[(0, 1)], 1: edges[(1, 2)], 2: edges[(0, 2)], 3: edges[(2, 3)]}
-    pair_down = {k: q for q, k in pair_up.items()}
     critical = frozenset({4, edges[(3, 4)]})
-    g = DiscreteGradient(cx, fld, pair_up, pair_down, critical)
+    g = DiscreteGradient(cx, fld, pair_up, critical)
     chain = {edges[(3, 4)]}
-    assert {f for f in cx.cells[edges[(3, 4)]].faces if f in pair_up} == {3}
+    assert {f for f in cx.faces[edges[(3, 4)]] if f in pair_up} == {3}
     with pytest.raises(GradientCycleError):
         g.expand(chain)
     with pytest.raises(GradientCycleError):
         round_based_expand(g, chain)
-    faces = cx.cells[edges[(3, 4)]].faces
+    faces = cx.faces[edges[(3, 4)]]
     with pytest.raises(GradientCycleError):
         g.flow_down(faces)
     with pytest.raises(GradientCycleError):

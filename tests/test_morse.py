@@ -39,8 +39,8 @@ def test_four_cycle_gradient_two_critical_cells():
     crit = sorted(g.critical)
     assert len(crit) == 2
     vmin, emax = crit
-    assert cx.cells[vmin].dim == 0 and fld.cell_values[vmin] == 0.0
-    assert cx.cells[emax].dim == 1 and fld.cell_values[emax] == 2.0
+    assert cx.dim(vmin) == 0 and fld.cell_values[vmin] == 0.0
+    assert cx.dim(emax) == 1 and fld.cell_values[emax] == 2.0
 
 
 def test_constant_torus_field_critical_count():
@@ -54,9 +54,11 @@ def test_constant_torus_field_critical_count():
 def test_pairs_and_critical_partition(corpus):
     for cx, fld in corpus:
         g = build_gradient(cx, fld)
-        cells = set(g.pair_up) | set(g.pair_down) | set(g.critical)
+        kings = set(g.pair_up.values())
+        assert len(kings) == len(g.pair_up)
+        cells = set(g.pair_up) | kings | set(g.critical)
         assert cells == set(range(len(cx)))
-        assert not (set(g.pair_up) & set(g.pair_down))
+        assert not (set(g.pair_up) & kings)
         g.validate()
 
 
@@ -78,8 +80,8 @@ def test_four_cycle_max_edge_boundary_vanishes():
     cx = cycle_graph(4)
     fld = make_field(cx, [0.0, 1.0, 2.0, 1.0])
     g, mc = pipeline(cx, fld)
-    (emax,) = [c for c in g.critical if cx.cells[c].dim == 1]
-    vmin = next(c for c in g.critical if cx.cells[c].dim == 0)
+    (emax,) = [c for c in g.critical if cx.dim(c) == 1]
+    vmin = next(c for c in g.critical if cx.dim(c) == 0)
 
     def v_path_targets(start_vertex):
         # follow vertex -> paired edge -> other endpoint until critical
@@ -89,10 +91,10 @@ def test_four_cycle_max_edge_boundary_vanishes():
             assert v not in seen
             seen.add(v)
             e = g.pair_up[v]
-            (v,) = [u for u in cx.cells[e].vertices if u != v]
+            (v,) = [u for u in cx.vertices[e] if u != v]
         return v
 
-    ends = [v_path_targets(u) for u in cx.cells[emax].vertices]
+    ends = [v_path_targets(u) for u in cx.vertices[emax]]
     assert ends == [vmin, vmin]  # two paths, same target: parity 0
     col = mc.boundary[1][mc.position(emax)[1]]
     assert col == 0
@@ -152,11 +154,10 @@ def test_cycle_detected_in_forged_matching():
     # next edge around, plus a pendant edge whose flow enters the loop
     cx = build_from_simplicial([[0, 1], [1, 2], [0, 2], [2, 3]])
     fld = make_field(cx, [0.0, 0.0, 0.0, 0.0])
-    edges = {tuple(c.vertices): c.id for c in cx.cells_of_dim(1)}
+    edges = {cx.vertices[c]: c for c in cx.ids_of_dim(1)}
     pair_up = {0: edges[(0, 1)], 1: edges[(1, 2)], 2: edges[(0, 2)]}
-    pair_down = {v: k for k, v in pair_up.items()}
     critical = frozenset({3, edges[(2, 3)]})
-    g = DiscreteGradient(cx, fld, pair_up, pair_down, critical)
+    g = DiscreteGradient(cx, fld, pair_up, critical)
     with pytest.raises(GradientCycleError):
         build_morse_complex(cx, fld, g)
     with pytest.raises(GradientCycleError):
@@ -170,12 +171,11 @@ def test_validate_detects_a_closed_v_path():
     # cells are critical, so only the acyclicity check can fail.
     cx = build_from_simplicial([[0, 1, 3], [1, 2, 3], [0, 2, 3]])
     fld = make_field(cx, [0.0, 0.0, 0.0, 1.0])
-    ids = {tuple(c.vertices): c.id for c in cx.cells}
+    ids = {vs: c for c, vs in enumerate(cx.vertices)}
     pair_up = {ids[(0, 3)]: ids[(0, 1, 3)], ids[(1, 3)]: ids[(1, 2, 3)],
                ids[(2, 3)]: ids[(0, 2, 3)]}
-    pair_down = {k: q for q, k in pair_up.items()}
-    critical = frozenset(range(len(cx))) - set(pair_up) - set(pair_down)
-    g = DiscreteGradient(cx, fld, pair_up, pair_down, critical)
+    critical = frozenset(range(len(cx))) - set(pair_up) - set(pair_up.values())
+    g = DiscreteGradient(cx, fld, pair_up, critical)
     with pytest.raises(GradientCycleError):
         g.validate()
 
@@ -229,7 +229,7 @@ def test_project_expand_identity_and_chain_maps(corpus):
         # chain-map identities on random chains, every grade
         rng = random.Random(11)
         for d in range(cx.top_dim + 1):
-            cells = [c.id for c in cx.cells_of_dim(d)]
+            cells = list(cx.ids_of_dim(d))
             chain = frozenset(c for c in cells if rng.random() < 0.4)
             lhs = g.flow_down(boundary_support(cx, chain))
             rhs = mc.unmask(
@@ -271,7 +271,7 @@ def test_expand_point_generator_is_single_vertex():
     g, mc = pipeline(cx, fld)
     (X,) = homology_basis(mc)[0]
     e = g.expand(X.support)
-    assert len(e) == 1 and cx.cells[next(iter(e))].dim == 0
+    assert len(e) == 1 and cx.dim(next(iter(e))) == 0
 
 
 def test_expand_classes_generate_full_homology():
@@ -326,7 +326,7 @@ def test_non_critical_cell_is_a_chain_error():
     c = next(c for c in range(len(cx)) if c not in mc.gradient.critical)
     for query in (
         lambda: mc.position(c),
-        lambda: mc.mask(cx.cells[c].dim, {c}),
+        lambda: mc.mask(cx.dim(c), {c}),
         lambda: same_class(mc, {c}, set()),
     ):
         with pytest.raises(ChainError, match=f"cell {c} is not critical here"):
@@ -369,7 +369,7 @@ def test_three_dimensional_complexes():
     mc = MorseComplex.from_field(sphere3, fld)
     point = HomologyClass(0, frozenset({0}), "full", owner=sphere3)
     top = HomologyClass(
-        3, frozenset(c.id for c in sphere3.cells if c.dim == 3), "full", owner=sphere3
+        3, frozenset(sphere3.ids_of_dim(3)), "full", owner=sphere3
     )
     assert rho(mc, point).sigma == min(fld.vertex_values)
     assert rho(mc, top).sigma == max(fld.vertex_values)
@@ -379,16 +379,16 @@ def test_boundary_matches_literal_path_enumeration():
     # independent oracle: count alternating paths one by one, no memoization
     rng = random.Random(18)
 
-    def paths_mod2(cx, g, cell, target):
+    def paths_mod2(cx, g, kings, cell, target):
         if cell in g.critical:
             return 1 if cell == target else 0
-        if cell in g.pair_down:
+        if cell in kings:
             return 0
         king = g.pair_up[cell]
         total = 0
-        for f in cx.cells[king].faces:
+        for f in cx.faces[king]:
             if f != cell:
-                total ^= paths_mod2(cx, g, f, target)
+                total ^= paths_mod2(cx, g, kings, f, target)
         return total
 
     for _ in range(12):
@@ -396,14 +396,15 @@ def test_boundary_matches_literal_path_enumeration():
         if len(cx) > 60:
             continue
         g, mc = pipeline(cx, fld)
+        kings = set(g.pair_up.values())
         for k, cols in mc.boundary.items():
             if k == 0 or k - 1 not in mc.grades:
                 continue
             for i, a in enumerate(mc.grades[k]):
                 for j, b in enumerate(mc.grades[k - 1]):
                     parity = 0
-                    for f in cx.cells[a].faces:
-                        parity ^= paths_mod2(cx, g, f, b)
+                    for f in cx.faces[a]:
+                        parity ^= paths_mod2(cx, g, kings, f, b)
                     assert parity == (cols[i] >> j) & 1
 
 
@@ -416,11 +417,11 @@ def test_expand_agrees_with_algebraic_flow_iteration():
         out = set(chain)
         bd = set()
         for c in chain:
-            bd.symmetric_difference_update(cx.cells[c].faces)
+            bd.symmetric_difference_update(cx.faces[c])
         out.symmetric_difference_update(g.pair_up[q] for q in bd if q in g.pair_up)
         kings = {g.pair_up[q] for q in chain if q in g.pair_up}
         for kcell in kings:
-            out.symmetric_difference_update(cx.cells[kcell].faces)
+            out.symmetric_difference_update(cx.faces[kcell])
         return frozenset(out)
 
     for _ in range(10):

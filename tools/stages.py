@@ -1,4 +1,4 @@
-"""Wall time of the pipeline stages at fixed sizes, recorded in BENCH_13.json.
+"""Wall time of the pipeline stages at fixed sizes, recorded in BENCH_15.json.
 
 Usage (from any directory, no flags, no environment variables):
 
@@ -8,7 +8,8 @@ It imports morsespec from the ``src/`` next to this file and times, on torus
 grids of 32², 64², 128² and 256² vertices, the stages that do not depend on
 the field once per size (group ``full complex``):
 
-* ``build_torus_grid``: the complex itself, cells and coface table;
+* ``build_torus_grid``: the complex itself, face and vertex tuples and the
+  coface table;
 * ``selectors``: ``homology.homology_basis`` of the full complex, which names
   the classes of ``--class all`` / ``grade:K:index:I``;
 
@@ -31,7 +32,7 @@ skips (the rank of the (d+1)-th), read off the basis sizes; next to them,
 ``process_peak_rss_mib`` is the process's peak resident set right after the
 selectors at that size.
 
-The run is stored in ``BENCH_13.json`` at the checkout root under
+The run is stored in ``BENCH_15.json`` at the checkout root under
 ``runs[LABEL]``: LABEL is the git SHA of HEAD, with ``+worktree`` appended
 when ``src/`` differs from HEAD.  Everything else already in the file is
 kept, so the runs of other commits and any benchmark numbers recorded there
@@ -66,7 +67,7 @@ STAGES = {
            "verify_d_squared+to_json_dict", "expand")
        for f in FIELDS},
 }
-OUT = ROOT / "BENCH_13.json"
+OUT = ROOT / "BENCH_15.json"
 
 
 def timed(fn):
@@ -112,7 +113,7 @@ def measure_full(n: int) -> tuple[dict, dict, object]:
     reduced, cleared, rank_above = {}, {}, 0
     for d in range(cx.top_dim, -1, -1):
         cleared[d] = rank_above
-        reduced[d] = len(cx.cells_of_dim(d)) - rank_above
+        reduced[d] = len(cx.ids_of_dim(d)) - rank_above
         rank_above = reduced[d] - len(basis[d])
     columns = 0
     plain = gf2.reduce_sparse
