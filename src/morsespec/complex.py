@@ -20,7 +20,7 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import pairwise
+from itertools import chain, pairwise
 from pathlib import Path
 
 from .errors import (
@@ -58,6 +58,13 @@ class CellComplex:
             raise ComplexBuildError(
                 f"dimension offsets {list(s)} do not rise from 0 to the {n} cells"
             )
+        for d in range(len(s) - 1):
+            below = self.ids_of_dim(d - 1)
+            fs = list(chain.from_iterable(self.faces[s[d] : s[d + 1]]))
+            if fs and (min(fs) < below.start or max(fs) >= below.stop):
+                c, f = next((c, f) for c in self.ids_of_dim(d) for f in self.faces[c]
+                            if f not in below)
+                raise ComplexBuildError(f"cell {c} (dim {d}) lists face {f}, not in {below}")
         cof: list[list[int]] = [[] for _ in range(n)]
         for c, fs in enumerate(self.faces):
             for f in fs:
@@ -99,21 +106,16 @@ class CellComplex:
     def validate(self) -> None:
         """Check the structural invariants; raise ComplexBuildError on failure.
 
-        Checks: duplicate-free face lists, faces of a d-cell have dimension
-        d-1, and every (d, d-2) cell pair has an even number of (d-1)-cells
-        between them (the mod-2 boundary-of-boundary condition).
+        Checks: duplicate-free face lists and every (d, d-2) cell pair has an
+        even number of (d-1)-cells between them (the mod-2 boundary-of-boundary
+        condition).  That the faces of a d-cell are (d-1)-cells is checked on
+        construction.
         """
         for d in range(self.top_dim + 1):
-            below = self.ids_of_dim(d - 1)
             for c in self.ids_of_dim(d):
                 fs = self.faces[c]
                 if len(set(fs)) != len(fs):
                     raise ComplexBuildError(f"duplicate face in cell {c}")
-                for f in fs:
-                    if f not in below:
-                        raise ComplexBuildError(
-                            f"cell {c} (dim {d}) lists face {f} of dim {self.dim(f)}"
-                        )
                 if d >= 2:
                     counts: dict[int, int] = {}
                     for f in fs:
@@ -242,7 +244,7 @@ def make_field(cx: CellComplex, values) -> ScalarField:
     for i, v in enumerate(vals):
         if not math.isfinite(v):
             raise FieldError(f"non-finite value {v!r} at vertex {i}")
-    cell_values = tuple(max(vals[u] for u in vs) for vs in cx.vertices)
+    cell_values = tuple([max(map(vals.__getitem__, vs)) for vs in cx.vertices])
     # Cells are numbered dimension by dimension, so a stable sort by value
     # alone breaks ties by (dim, id).
     by_order = sorted(range(len(cx)), key=cell_values.__getitem__)

@@ -28,8 +28,9 @@ on bitmask columns with ``gf2.reduce_boundary``).
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from . import gf2
 from .complex import CellComplex, ScalarField
@@ -165,78 +166,79 @@ def build_gradient(
     """Greedy acyclic matching inside each lower star (Robins–Wood–Sheppard,
     "ProcessLowerStars", IEEE TPAMI 2011).
 
-    Each cell's key is its vertices' ``vertex_rank`` in descending order,
-    then its dimension, then its id (negated under "reverse-id").  The first
-    rank names the cell's lower star, the star of its order-maximal vertex.
-    Within one star the matching is built coreduction style: a cell is
-    matched to a coface as soon as it is that coface's only unpaired face,
-    smallest keys first; when nothing is matchable the smallest remaining
-    cell is declared critical.  Pairings of this kind can never close a
-    V-path, and paths between stars only descend, so the matching is
-    acyclic by construction.
+    Each cell above dimension 0 has one key: its vertices' ``vertex_rank`` in
+    descending order, then its dimension, then its id (negated under
+    "reverse-id").  The first rank names the cell's lower star, the star of
+    its order-maximal vertex.  A vertex needs no key: it seeds its own star,
+    taken in rank order.  The keys themselves are the heap entries, and a
+    popped key gives its cell back as ``sign * key[2]``.  Within one star the
+    matching is built coreduction style: a cell is matched to a coface as soon
+    as it is that coface's only unpaired face, smallest keys first; when
+    nothing is matchable the smallest remaining cell is declared critical.
+    Pairings of this kind can never close a V-path, and paths between stars
+    only descend, so the matching is acyclic by construction.
     """
     if fld.complex is not cx:
         raise ComplexMismatchError("field was built over a different complex")
     rank = vertex_rank(fld, tie_break)
-    forward = tie_break == "id"
-    faces, vertices, edge_ids = cx.faces, cx.vertices, cx.ids_of_dim(1)
-    key = [
-        (tuple(sorted([rank[u] for u in vertices[c]], reverse=True)), d, c if forward else -c)
-        for d in range(cx.top_dim + 1)
-        for c in cx.ids_of_dim(d)
-    ]
+    sign = 1 if tie_break == "id" else -1
+    faces, vertices, cofaces = cx.faces, cx.vertices, cx.cofaces
+    key: list = [None] * len(rank)
+    for d in range(1, cx.top_dim + 1):
+        key += [
+            (tuple(sorted(map(rank.__getitem__, vertices[c]), reverse=True)), d, sign * c)
+            for c in cx.ids_of_dim(d)
+        ]
     stars: list[list[int]] = [[] for _ in rank]
-    for c, k in enumerate(key):
-        stars[k[0][0]].append(c)
+    for v, r in enumerate(rank):
+        stars[r].append(v)
+    for c in range(len(rank), len(key)):
+        stars[key[c][0][0]].append(c)
+    edge_end = cx.ids_of_dim(1).stop
 
     pair_up: dict[int, int] = {}
     critical: set[int] = set()
-
-    def push_candidates(cid: int) -> None:
-        for co in cx.cofaces(cid):
-            if co in unpaired and len(unpaired.intersection(faces[co])) == 1:
-                heapq.heappush(pq_one, (key[co], co))
-
     for members in stars:
-        v = members[0]  # vertices are numbered first
+        v = members[0]
         if len(members) == 1:
             critical.add(v)
             continue
-        edges = [cid for cid in members if cid in edge_ids]
-        if not edges:
+        # Members are in id order, and ids run dimension by dimension.
+        pq_zero = [key[e] for e in members[1 : bisect_left(members, edge_end, 1)]]
+        if not pq_zero:
             raise ComplexBuildError(
                 f"lower star of vertex {v} has no edge; cannot seed the matching"
             )
-        first = min(edges, key=key.__getitem__)
-        unpaired = set(members) - {v, first}
+        heapify(pq_zero)
+        first = sign * heappop(pq_zero)[2]
         pair_up[v] = first
-
+        unpaired = set(members[1:])
+        unpaired.discard(first)
         pq_one: list = []
-        pq_zero = [(key[cid], cid) for cid in edges if cid != first]
-        heapq.heapify(pq_zero)
-        push_candidates(first)
-        while pq_one or pq_zero:
-            while pq_one:
-                _, alpha = heapq.heappop(pq_one)
-                if alpha not in unpaired:
-                    continue
-                front = unpaired.intersection(faces[alpha])
-                if not front:
-                    heapq.heappush(pq_zero, (key[alpha], alpha))
-                    continue
-                (lam,) = front  # pushed with one unpaired face; never more
-                unpaired -= {lam, alpha}
-                pair_up[lam] = alpha
-                push_candidates(alpha)
-                push_candidates(lam)
-            while pq_zero:
-                _, gamma = heapq.heappop(pq_zero)
-                if gamma not in unpaired:
-                    continue
-                unpaired.discard(gamma)
-                critical.add(gamma)
-                push_candidates(gamma)
-                break
+        fresh: tuple[int, ...] = (first,)  # cells just paired or made critical
+        while fresh:
+            for c in fresh:
+                for co in cofaces(c):
+                    if co in unpaired and len(unpaired.intersection(faces[co])) == 1:
+                        heappush(pq_one, key[co])
+            fresh = ()
+            while pq_one and not fresh:
+                alpha = sign * heappop(pq_one)[2]
+                if alpha in unpaired:
+                    front = unpaired.intersection(faces[alpha])
+                    if front:
+                        (lam,) = front  # pushed with one unpaired face; never more
+                        unpaired -= {lam, alpha}
+                        pair_up[lam] = alpha
+                        fresh = (alpha, lam)
+                    else:
+                        heappush(pq_zero, key[alpha])
+            while pq_zero and not fresh:
+                gamma = sign * heappop(pq_zero)[2]
+                if gamma in unpaired:
+                    unpaired.discard(gamma)
+                    critical.add(gamma)
+                    fresh = (gamma,)
 
     return DiscreteGradient(cx, fld, pair_up, frozenset(critical), tie_break)
 

@@ -7,13 +7,19 @@ coordinates solve one linear system of boundaries plus basis classes.  They
 stay on bitmasks: ``boundary_masks`` turns the index-list columns of
 ``morsespec.homology.boundary_columns`` into masks, and a d-chain is a mask
 over ``cx.ids_of_dim(d)`` with bit i the cell ``ids_of_dim(d)[i]``.
+
+``reference_gradient`` is the slow route of ``morse.build_gradient``: the
+same lower-star matching from (key, id) heap pairs and a key for every cell.
 """
 
 from __future__ import annotations
 
+import heapq
+
 import morsespec.homology as fullh
 from morsespec import gf2
-from morsespec.errors import ChainError
+from morsespec.errors import ChainError, ComplexBuildError, ComplexMismatchError
+from morsespec.morse import DiscreteGradient, vertex_rank
 
 
 def solve(columns: list[int], target: int) -> int | None:
@@ -70,3 +76,74 @@ def class_coordinates(cx, grade: int, support, basis) -> list[int]:
     if combo is None:
         raise ChainError("chain is not a cycle combination in this grade")
     return [(combo >> (len(bcols) + k)) & 1 for k in range(len(basis))]
+
+
+def reference_gradient(cx, fld, tie_break: str = "id") -> DiscreteGradient:
+    """The lower-star matching of ``morse.build_gradient`` by the same rules,
+    on a separate route: (key, id) heap pairs, a key for every cell with the
+    vertices' keys grouping the stars, edges found by membership tests, and
+    a closure that pushes the candidate cofaces."""
+    if fld.complex is not cx:
+        raise ComplexMismatchError("field was built over a different complex")
+    rank = vertex_rank(fld, tie_break)
+    forward = tie_break == "id"
+    faces, vertices, edge_ids = cx.faces, cx.vertices, cx.ids_of_dim(1)
+    key = [
+        (tuple(sorted([rank[u] for u in vertices[c]], reverse=True)), d, c if forward else -c)
+        for d in range(cx.top_dim + 1)
+        for c in cx.ids_of_dim(d)
+    ]
+    stars: list[list[int]] = [[] for _ in rank]
+    for c, k in enumerate(key):
+        stars[k[0][0]].append(c)
+
+    pair_up: dict[int, int] = {}
+    critical: set[int] = set()
+
+    def push_candidates(cid: int) -> None:
+        for co in cx.cofaces(cid):
+            if co in unpaired and len(unpaired.intersection(faces[co])) == 1:
+                heapq.heappush(pq_one, (key[co], co))
+
+    for members in stars:
+        v = members[0]  # vertices are numbered first
+        if len(members) == 1:
+            critical.add(v)
+            continue
+        edges = [cid for cid in members if cid in edge_ids]
+        if not edges:
+            raise ComplexBuildError(
+                f"lower star of vertex {v} has no edge; cannot seed the matching"
+            )
+        first = min(edges, key=key.__getitem__)
+        unpaired = set(members) - {v, first}
+        pair_up[v] = first
+
+        pq_one: list = []
+        pq_zero = [(key[cid], cid) for cid in edges if cid != first]
+        heapq.heapify(pq_zero)
+        push_candidates(first)
+        while pq_one or pq_zero:
+            while pq_one:
+                _, alpha = heapq.heappop(pq_one)
+                if alpha not in unpaired:
+                    continue
+                front = unpaired.intersection(faces[alpha])
+                if not front:
+                    heapq.heappush(pq_zero, (key[alpha], alpha))
+                    continue
+                (lam,) = front  # pushed with one unpaired face; never more
+                unpaired -= {lam, alpha}
+                pair_up[lam] = alpha
+                push_candidates(alpha)
+                push_candidates(lam)
+            while pq_zero:
+                _, gamma = heapq.heappop(pq_zero)
+                if gamma not in unpaired:
+                    continue
+                unpaired.discard(gamma)
+                critical.add(gamma)
+                push_candidates(gamma)
+                break
+
+    return DiscreteGradient(cx, fld, pair_up, frozenset(critical), tie_break)

@@ -545,3 +545,21 @@ def test_readme_commands(capsys, tmp_path, monkeypatch):
         assert list(rep["inputs"]) == README_INPUTS[rep["command"]], argv
         assert stdout_digest(out) == digest, argv
 
+
+
+# sha256 of stdout (without its final newline) of the benchmark's command
+# shapes at their sizes: the small-batch compare and the morse-dense homology
+# at 96x96, taken before the lower-star kernel's heap entries became its keys.
+BENCHMARK_SHAPE_DIGESTS = {
+    "compare --complex torus:16:16 --trials 50 --seed 1 --class all":
+        "d4810851a51a7064f2578726a559c54000f7648b2ac2d05f1350acbd4ed3045e",
+    "homology --complex torus:96:96 --field expr:random:1":
+        "dac3c87aa8866ee1d5ded821e581e5ba11ad9b68c55d1c07df89fbf0fd1652f7",
+}
+
+
+@pytest.mark.parametrize("command", list(BENCHMARK_SHAPE_DIGESTS))
+def test_benchmark_command_shapes_are_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert stdout_digest(out) == BENCHMARK_SHAPE_DIGESTS[command]

@@ -98,6 +98,24 @@ def test_offsets_that_disagree_with_the_cells_are_refused(faces, vertices, start
         CellComplex(faces, vertices, starts, "simplicial")
 
 
+@pytest.mark.parametrize(
+    "faces, expect",
+    [
+        # An edge of two vertices, 0 and 1, that names a face past the end.
+        (((), (), (0, 5)), r"cell 2 \(dim 1\) lists face 5, not in range\(0, 2\)"),
+        # A negative id would index the coface table from its end.
+        (((), (), (0, -1)), r"cell 2 \(dim 1\) lists face -1, not in range\(0, 2\)"),
+        # An edge that lists an edge.
+        (((), (), (0, 1), (0, 2)), r"cell 3 \(dim 1\) lists face 2, not in range\(0, 2\)"),
+    ],
+    ids=["past the end", "negative", "wrong dimension"],
+)
+def test_face_ids_outside_the_dimension_below_are_refused(faces, expect):
+    vertices = ((0,), (1,), *([(0, 1)] * (len(faces) - 2)))
+    with pytest.raises(ComplexBuildError, match=expect):
+        CellComplex(faces, vertices, (0, 2, len(faces)), "simplicial")
+
+
 def test_cofaces_are_derived_from_faces(corpus):
     for cx, _ in corpus + [(cubical_3torus(3, 3, 3), None)]:
         cells = range(len(cx))

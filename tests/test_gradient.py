@@ -134,3 +134,44 @@ def test_validate_refuses_a_cell_outside_the_complex(stray):
 
 
 
+
+
+def gradient_fields(cx, rng):
+    """Dyadic, plateau ({0, 1/2, 1}) and constant fields over one complex."""
+    yield "dyadic", dyadic_field(cx, rng)
+    yield "plateau", make_field(cx, plateau_values(cx, rng))
+    yield "constant", make_field(cx, [0.0] * cx.n_vertices)
+
+
+def assert_same_matching(cx, fld, tie_break):
+    g = build_gradient(cx, fld, tie_break)
+    ref = oracles.reference_gradient(cx, fld, tie_break)
+    assert g.pair_up == ref.pair_up
+    assert g.critical == ref.critical
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(TIE_BREAKS))
+def test_gradient_equals_reference_on_simplicial_complexes(rng, tie_break):
+    cx = random_simplicial(rng)
+    for _, fld in gradient_fields(cx, rng):
+        assert_same_matching(cx, fld, tie_break)
+
+
+@pytest.mark.parametrize("shape", [
+    (2, 2), (2, 3), (3, 2), (2, 16), (16, 2), (3, 3), (4, 7), (9, 5), (12, 12), (16, 16),
+])
+def test_gradient_equals_reference_on_tori(shape):
+    rng = random.Random(f"torus {shape}")
+    cx = build_torus_grid(*shape)
+    for _, fld in [*gradient_fields(cx, rng), ("bump", expression_field(cx, "bump"))]:
+        for tie_break in TIE_BREAKS:
+            assert_same_matching(cx, fld, tie_break)
+
+
+def test_gradient_equals_reference_on_the_3_torus():
+    rng = random.Random(16)
+    cx = cubical_3torus(3, 4, 3)
+    for _, fld in gradient_fields(cx, rng):
+        for tie_break in TIE_BREAKS:
+            assert_same_matching(cx, fld, tie_break)

@@ -1,4 +1,4 @@
-"""Wall time of the pipeline stages at fixed sizes, recorded in BENCH_15.json.
+"""Wall time of the pipeline stages at fixed sizes, recorded in BENCH_16.json.
 
 Usage (from any directory, no flags, no environment variables):
 
@@ -16,9 +16,12 @@ the field once per size (group ``full complex``):
 and under each of ``expr:random:1`` and ``expr:bump``:
 
 * ``expression_field``: the field, values and cell order;
+* ``make_field``: the same field built again from its vertex values, which is
+  the lower-star extension and the cell order alone;
 * ``build_gradient`` and ``build_morse_complex``;
 * ``verify_d_squared`` + ``to_json_dict`` (both walk every boundary column
   through ``gf2.to_bits``);
+* ``betti``: ``MorseComplex.betti``, the Morse homology walk;
 * ``expand`` of every class of the Morse homology basis.
 
 Every stage runs three times and its fastest run is kept, so fast and slow
@@ -32,7 +35,7 @@ skips (the rank of the (d+1)-th), read off the basis sizes; next to them,
 ``process_peak_rss_mib`` is the process's peak resident set right after the
 selectors at that size.
 
-The run is stored in ``BENCH_15.json`` at the checkout root under
+The run is stored in ``BENCH_16.json`` at the checkout root under
 ``runs[LABEL]``: LABEL is the git SHA of HEAD, with ``+worktree`` appended
 when ``src/`` differs from HEAD.  Everything else already in the file is
 kept, so the runs of other commits and any benchmark numbers recorded there
@@ -54,7 +57,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import morsespec.homology as fullh  # noqa: E402
-from morsespec import build_torus_grid, gf2, homology_basis, verify_d_squared  # noqa: E402
+from morsespec import (  # noqa: E402
+    build_torus_grid, gf2, homology_basis, make_field, verify_d_squared,
+)
 from morsespec.fields import expression_field  # noqa: E402
 from morsespec.morse import build_gradient, build_morse_complex  # noqa: E402
 
@@ -63,11 +68,11 @@ FIELDS = ("random:1", "bump")
 FULL = "full complex"
 STAGES = {
     FULL: ("build_torus_grid", "selectors"),
-    **{f: ("expression_field", "build_gradient", "build_morse_complex",
-           "verify_d_squared+to_json_dict", "expand")
+    **{f: ("expression_field", "make_field", "build_gradient", "build_morse_complex",
+           "verify_d_squared+to_json_dict", "betti", "expand")
        for f in FIELDS},
 }
-OUT = ROOT / "BENCH_15.json"
+OUT = ROOT / "BENCH_16.json"
 
 
 def timed(fn):
@@ -90,15 +95,18 @@ def verify_and_dump(mc):
 def measure(cx, name: str) -> tuple[dict, dict]:
     sec = {}
     sec["expression_field"], fld = timed(lambda: expression_field(cx, name))
+    sec["make_field"], _ = timed(lambda: make_field(cx, fld.vertex_values))
     sec["build_gradient"], g = timed(lambda: build_gradient(cx, fld))
     sec["build_morse_complex"], mc = timed(lambda: build_morse_complex(cx, fld, g))
     sec["verify_d_squared+to_json_dict"], _ = timed(lambda: verify_and_dump(mc))
+    sec["betti"], betti = timed(mc.betti)
     classes = [h for hs in homology_basis(mc).values() for h in hs]
     sec["expand"], chains = timed(lambda: [g.expand(h.support) for h in classes])
     counters = {
         "cells": len(cx),
         "critical": len(g.critical),
         "basis_classes": len(classes),
+        "betti": betti,
         "expand_cells_out": sum(len(c) for c in chains),
     }
     return sec, counters
