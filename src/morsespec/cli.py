@@ -20,8 +20,8 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
-import math
 import os
 import random
 import re
@@ -94,8 +94,18 @@ def _resolve_classes(cx: CellComplex, selector: str) -> list[tuple[str, Homology
     return [(label, labelled[label])]
 
 
+def _overflow(command: str, inputs: dict) -> MorsespecError:
+    given = ", ".join(f"{k}={v}" for k, v in inputs.items())
+    return MorsespecError(f"{command} overflows binary64 at {given}")
+
+
 def _emit(report: dict, json_path: str | None) -> None:
-    text = json.dumps(report, indent=2, allow_nan=False)
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError:
+        # The one overflow route: a result that left binary64 is inf or nan,
+        # which the encoder refuses.
+        raise _overflow(report["command"], report["inputs"]) from None
     print(text)
     if json_path:
         Path(json_path).write_text(text + "\n")
@@ -207,15 +217,6 @@ def _cmd_sweep(args) -> int:
     return _finish(args, inputs, results, passed, len(checks) - passed)
 
 
-def _finite(value) -> bool:
-    """Whether every number in a nested report value is finite."""
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, list):
-        return all(map(_finite, value))
-    return math.isfinite(value)
-
-
 def _cmd_bounds(args) -> int:
     sub = args.bounds_cmd
     extra, failed = {}, 0
@@ -263,11 +264,9 @@ def _cmd_bounds(args) -> int:
             )
         results = {"value": value, "precondition_ok": True, **extra}
     except OverflowError:
-        results = None
-    # binary64 overflow surfaces as OverflowError (math.exp, **) or as inf/nan.
-    if results is None or not _finite(results):
-        given = ", ".join(f"{k}={v}" for k, v in inputs.items())
-        raise MorsespecError(f"bounds {sub} overflows binary64 at {given}")
+        # math.exp and ** raise on overflow; other arithmetic gives inf or
+        # nan, which _emit refuses.
+        raise _overflow(f"bounds {sub}", inputs) from None
     return _finish(args, inputs, results, 1 - failed, failed)
 
 
@@ -362,6 +361,14 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    # The pipeline makes no reference cycles, so reference counting frees
+    # every complex, field, gradient and Morse complex, and the cyclic
+    # collector's passes over the complex's tuples would find nothing; a
+    # command leaves the same few objects of cyclic garbage (argparse's) at
+    # any size.  tests/test_cli.py checks both.  The caller's setting is
+    # restored on every exit.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = build_parser().parse_args(argv)
         return _DISPATCH[args.cmd](args)
@@ -376,6 +383,9 @@ def main(argv=None) -> int:
                 diag[attr] = getattr(e, attr)
         print(json.dumps(diag), file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entry() -> None:  # console-script hook

@@ -218,17 +218,17 @@ def build_from_simplicial(spec: list[list[int]]) -> CellComplex:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Vertex values with max-extension to cells and a strict total order.
+    """Vertex values with max-extension to cells.
 
-    ``cell_values[c]`` is the maximum vertex value over cell c, and
-    ``order_rank[c]`` is the position of c in the lexicographic order
-    (cell value, dimension, id).  Faces never rank above their cofaces.
+    ``cell_values[c]`` is the maximum vertex value over cell c.  The total
+    order on cells is (cell value, dimension, id), which is the key
+    ``(cell_values[c], c)`` because ids run dimension by dimension; faces
+    never come after their cofaces in it.
     """
 
     complex: CellComplex
     vertex_values: tuple[float, ...]
     cell_values: tuple[float, ...]
-    order_rank: tuple[int, ...]
 
 
 def make_field(cx: CellComplex, values) -> ScalarField:
@@ -245,13 +245,7 @@ def make_field(cx: CellComplex, values) -> ScalarField:
         if not math.isfinite(v):
             raise FieldError(f"non-finite value {v!r} at vertex {i}")
     cell_values = tuple([max(map(vals.__getitem__, vs)) for vs in cx.vertices])
-    # Cells are numbered dimension by dimension, so a stable sort by value
-    # alone breaks ties by (dim, id).
-    by_order = sorted(range(len(cx)), key=cell_values.__getitem__)
-    rank = [0] * len(cx)
-    for r, cid in enumerate(by_order):
-        rank[cid] = r
-    return ScalarField(cx, tuple(vals), cell_values, tuple(rank))
+    return ScalarField(cx, tuple(vals), cell_values)
 
 
 def c0_distance(f: ScalarField, g: ScalarField) -> float:

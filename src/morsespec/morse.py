@@ -368,9 +368,10 @@ def build_morse_complex(
     """
     if gradient.complex is not cx or gradient.field is not fld:
         raise ComplexMismatchError("gradient belongs to a different complex or field")
-    rank = fld.order_rank
+    vals = fld.cell_values
     grades: dict[int, list[int]] = {}
-    for cid in sorted(gradient.critical, key=lambda c: rank[c]):
+    # Ids run dimension by dimension, so (value, id) is the (value, dim, id) order.
+    for cid in sorted(gradient.critical, key=lambda c: (vals[c], c)):
         grades.setdefault(cx.dim(cid), []).append(cid)
     mc = MorseComplex(cx, fld, gradient, grades, {})
     for k, cells in grades.items():
@@ -396,20 +397,6 @@ def verify_d_squared(mc: MorseComplex) -> bool:
         for col in cols:
             if mc.boundary_of(k - 1, col) != 0:
                 return False
-    return True
-
-
-def check_order_decreasing(mc: MorseComplex) -> bool:
-    """Every boundary entry strictly precedes its cell in the total order."""
-    rank = mc.field.order_rank
-    for k, cols in mc.boundary.items():
-        for i, col in enumerate(cols):
-            if col == 0:
-                continue
-            a = mc.grades[k][i]
-            for b in mc.unmask(k - 1, col):
-                if rank[b] >= rank[a]:
-                    return False
     return True
 
 

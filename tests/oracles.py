@@ -10,6 +10,8 @@ over ``cx.ids_of_dim(d)`` with bit i the cell ``ids_of_dim(d)[i]``.
 
 ``reference_gradient`` is the slow route of ``morse.build_gradient``: the
 same lower-star matching from (key, id) heap pairs and a key for every cell.
+``check_order_decreasing`` checks a Morse boundary against the total order
+on cells.
 """
 
 from __future__ import annotations
@@ -147,3 +149,19 @@ def reference_gradient(cx, fld, tie_break: str = "id") -> DiscreteGradient:
                 break
 
     return DiscreteGradient(cx, fld, pair_up, frozenset(critical), tie_break)
+
+
+def check_order_decreasing(mc) -> bool:
+    """Every Morse boundary entry strictly precedes its cell in the total
+    order (cell value, dimension, id), keyed by ``(cell_values[c], c)``:
+    ids run dimension by dimension."""
+    vals = mc.field.cell_values
+    for k, cols in mc.boundary.items():
+        for i, col in enumerate(cols):
+            if col == 0:
+                continue
+            a = mc.grades[k][i]
+            for b in mc.unmask(k - 1, col):
+                if (vals[b], b) >= (vals[a], a):
+                    return False
+    return True

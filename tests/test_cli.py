@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from morsespec import morse
+from morsespec import cli, morse
 from morsespec.cli import MAX_TORUS_VERTICES, main
 from morsespec.fields import MAX_FAMILY_STEPS
 
@@ -396,6 +397,73 @@ def test_bounds_overflow_exits_2(capsys, argv):
     assert error.startswith(f"bounds {sub} overflows binary64 at ")
     for flag in flags[::2]:
         assert flag[2:].replace("-", "_") + "=" in error
+
+
+def test_report_overflow_exits_2(capsys, tmp_path):
+    """A report value that leaves binary64 is bad input, located at its command."""
+    (tmp_path / "c3.txt").write_text("0 1\n1 2\n2 0\n")
+    (tmp_path / "a.txt").write_text("1.7e308 -1.7e308 3\n")
+    (tmp_path / "b.txt").write_text("-1.7e308 1.7e308 3\n")
+    (tmp_path / "t.txt").write_text("1.7e308 -1.7e308 3 -1.7e308\n")
+    for argv in (
+        ["compare", "--complex", f"file:{tmp_path / 'c3.txt'}",
+         "--field-a", str(tmp_path / "a.txt"), "--field-b", str(tmp_path / "b.txt")],
+        ["sweep", "--complex", "torus:2:2", "--field", str(tmp_path / "t.txt"),
+         "--family", "translate:2"],
+    ):
+        error = bad_input(capsys, *argv)
+        assert error.startswith(f"{argv[0]} overflows binary64 at complex=")
+        for flag, value in zip(argv[1::2], argv[2::2]):
+            assert f"{flag[2:].replace('-', '_')}={value}" in error
+
+
+def cyclic_garbage(capsys, *argv) -> int:
+    """Objects the cyclic collector frees after one in-process run of main
+    with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("small, large", [
+    ("compare --complex torus:6:6 --trials 2", "compare --complex torus:6:6 --trials 20"),
+    ("sweep --complex torus:6:6 --field expr:bump --family translate:3",
+     "sweep --complex torus:6:6 --field expr:bump --family translate:12"),
+    ("homology --complex torus:8:8 --field expr:random:1",
+     "homology --complex torus:32:32 --field expr:random:1"),
+])
+def test_commands_make_no_reference_cycles(capsys, small, large):
+    """main runs with the cyclic collector off, so a reference cycle per
+    field, gradient or Morse complex would be memory that is never freed:
+    the garbage left must not grow with the number of fields or cells."""
+    assert cyclic_garbage(capsys, *small.split()) == cyclic_garbage(capsys, *large.split())
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_setting(capsys, monkeypatch, enabled):
+    during = []
+    handler = cli._DISPATCH["homology"]
+
+    def watched(args):
+        during.append(gc.isenabled())
+        return handler(args)
+
+    monkeypatch.setitem(cli._DISPATCH, "homology", watched)
+    homology = ["homology", "--complex", "torus:3:3", "--field", "expr:random:1"]
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run_cli(capsys, *homology)[0] == 0
+        assert gc.isenabled() is enabled
+        assert run_cli(capsys, *homology[:3])[0] == 2
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert during == [False]
 
 
 def test_determinism_under_seed(capsys):

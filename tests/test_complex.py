@@ -13,6 +13,7 @@ from conftest import (
 )
 from morsespec import (
     CellComplex,
+    MorseComplex,
     build_from_simplicial,
     build_torus_grid,
     c0_distance,
@@ -129,35 +130,36 @@ def test_cofaces_are_derived_from_faces(corpus):
 def test_corpus_invariants(corpus):
     for cx, fld in corpus:
         cx.validate()
+        key = [(fld.cell_values[c], c) for c in range(len(cx))]
         # face-monotonicity of the total order
         for c, fs in enumerate(cx.faces):
             for f in fs:
-                assert fld.order_rank[f] < fld.order_rank[c]
+                assert key[f] < key[c]
         # order is a strict total order on all cells
-        assert sorted(fld.order_rank) == list(range(len(cx)))
+        assert len(set(key)) == len(cx)
 
 
 def test_constant_field_order_falls_back():
     cx = build_torus_grid(3, 3)
     fld = make_field(cx, [0.0] * 9)
     assert set(fld.cell_values) == {0.0}
-    by_rank = sorted(range(len(cx)), key=fld.order_rank.__getitem__)
-    keys = [(cx.dim(c), c) for c in by_rank]
+    by_order = sorted(range(len(cx)), key=lambda c: (fld.cell_values[c], c))
+    keys = [(cx.dim(c), c) for c in by_order]
     assert keys == sorted(keys)
+    mc = MorseComplex.from_field(cx, fld)
+    assert sum(map(len, mc.grades.values())) > 1
+    for cells in mc.grades.values():
+        assert cells == sorted(cells)
 
 
-def three_part_order_rank(fld):
-    """``order_rank`` by the explicit (cell value, dimension, id) key."""
+def value_dim_id(fld):
+    """The total order on cells by the explicit (cell value, dimension, id) key."""
     cx = fld.complex
-    by_order = sorted(range(len(cx)), key=lambda c: (fld.cell_values[c], cx.dim(c), c))
-    rank = [0] * len(cx)
-    for r, c in enumerate(by_order):
-        rank[c] = r
-    return tuple(rank)
+    return lambda c: (fld.cell_values[c], cx.dim(c), c)
 
 
-def test_order_rank_is_the_value_dim_id_order(corpus):
-    """``make_field`` sorts by value alone (stable); ties, which plateau and
+def test_grades_follow_the_value_dim_id_order(corpus):
+    """``build_morse_complex`` sorts by (value, id); ties, which plateau and
     constant fields make by the thousand, must still fall to (dim, id)."""
     rng = random.Random(13)
     fields = [fld for _, fld in corpus]
@@ -174,7 +176,16 @@ def test_order_rank_is_the_value_dim_id_order(corpus):
         fields.append(make_field(cx, [0.0] * n))
     assert sum(len(set(f.cell_values)) < len(f.complex) // 4 for f in fields) > 100
     for fld in fields:
-        assert fld.order_rank == three_part_order_rank(fld)
+        cx, key = fld.complex, value_dim_id(fld)
+        cells = range(len(cx))
+        assert sorted(cells, key=lambda c: (fld.cell_values[c], c)) == sorted(cells, key=key)
+        assert all(key(f) < key(c) for c in cells for f in cx.faces[c])
+        mc = MorseComplex.from_field(cx, fld)
+        assert sorted(c for grade in mc.grades.values() for c in grade) == sorted(
+            mc.gradient.critical
+        )
+        for k, grade in mc.grades.items():
+            assert grade == sorted(grade, key=key)
 
 
 def test_edge_values_on_cycle():

@@ -11,7 +11,6 @@ from morsespec import (
     build_gradient,
     build_morse_complex,
     build_torus_grid,
-    check_order_decreasing,
     homology_basis,
     make_field,
     same_class,
@@ -115,7 +114,7 @@ def test_d_squared_and_order_decreasing(corpus):
     for cx, fld in corpus:
         _, mc = pipeline(cx, fld)
         assert verify_d_squared(mc)
-        assert check_order_decreasing(mc)
+        assert oracles.check_order_decreasing(mc)
         for k, b in enumerate(mc.betti()):
             assert mc.rank(k) >= b
 
@@ -360,7 +359,7 @@ def test_three_dimensional_complexes():
             g, mc = pipeline(cx, fld)
             g.validate()
             assert verify_d_squared(mc)
-            assert check_order_decreasing(mc)
+            assert oracles.check_order_decreasing(mc)
             assert mc.betti() == betti == oracles.betti_numbers(cx)
     # spectral sanity on the closed one: point min, top class max
     from morsespec.spectral import rho

@@ -1,4 +1,4 @@
-"""Wall time of the pipeline stages at fixed sizes, recorded in BENCH_16.json.
+"""Wall time of the pipeline stages at fixed sizes, recorded in BENCH_17.json.
 
 Usage (from any directory, no flags, no environment variables):
 
@@ -15,15 +15,21 @@ the field once per size (group ``full complex``):
 
 and under each of ``expr:random:1`` and ``expr:bump``:
 
-* ``expression_field``: the field, values and cell order;
+* ``expression_field``: the field, its vertex values and their extension
+  to cells;
 * ``make_field``: the same field built again from its vertex values, which is
-  the lower-star extension and the cell order alone;
+  the lower-star extension alone;
 * ``build_gradient`` and ``build_morse_complex``;
 * ``verify_d_squared`` + ``to_json_dict`` (both walk every boundary column
   through ``gf2.to_bits``);
 * ``betti``: ``MorseComplex.betti``, the Morse homology walk;
-* ``expand`` of every class of the Morse homology basis.
+* ``expand`` of every class of the Morse homology basis;
+* ``json_emit``: ``json.dumps(indent=2)`` of the ``homology`` report of that
+  complex and field, as the CLI emits it (its length is the
+  ``report_bytes`` counter).
 
+Every stage runs with the cyclic garbage collector off, as the CLI runs its
+commands; a ``gc.collect()`` before each run frees what the last one left.
 Every stage runs three times and its fastest run is kept, so fast and slow
 stages are compared on the same number of samples.  Each group also reports the 64²→128² and
 128²→256² ratios of every stage, where linear cost gives about 4, and its
@@ -35,7 +41,7 @@ skips (the rank of the (d+1)-th), read off the basis sizes; next to them,
 ``process_peak_rss_mib`` is the process's peak resident set right after the
 selectors at that size.
 
-The run is stored in ``BENCH_16.json`` at the checkout root under
+The run is stored in ``BENCH_17.json`` at the checkout root under
 ``runs[LABEL]``: LABEL is the git SHA of HEAD, with ``+worktree`` appended
 when ``src/`` differs from HEAD.  Everything else already in the file is
 kept, so the runs of other commits and any benchmark numbers recorded there
@@ -69,10 +75,10 @@ FULL = "full complex"
 STAGES = {
     FULL: ("build_torus_grid", "selectors"),
     **{f: ("expression_field", "make_field", "build_gradient", "build_morse_complex",
-           "verify_d_squared+to_json_dict", "betti", "expand")
+           "verify_d_squared+to_json_dict", "betti", "expand", "json_emit")
        for f in FIELDS},
 }
-OUT = ROOT / "BENCH_16.json"
+OUT = ROOT / "BENCH_17.json"
 
 
 def timed(fn):
@@ -98,16 +104,30 @@ def measure(cx, name: str) -> tuple[dict, dict]:
     sec["make_field"], _ = timed(lambda: make_field(cx, fld.vertex_values))
     sec["build_gradient"], g = timed(lambda: build_gradient(cx, fld))
     sec["build_morse_complex"], mc = timed(lambda: build_morse_complex(cx, fld, g))
-    sec["verify_d_squared+to_json_dict"], _ = timed(lambda: verify_and_dump(mc))
+    sec["verify_d_squared+to_json_dict"], dump = timed(lambda: verify_and_dump(mc))
     sec["betti"], betti = timed(mc.betti)
     classes = [h for hs in homology_basis(mc).values() for h in hs]
     sec["expand"], chains = timed(lambda: [g.expand(h.support) for h in classes])
+    report = {
+        "command": "homology",
+        "inputs": {"complex": cx.descriptor, "field": f"expr:{name}"},
+        "results": {
+            "betti": betti,
+            "critical_census": {str(k): mc.rank(k) for k in sorted(mc.grades)},
+            "d_squared_zero": True,
+            "morse_complex": dump,
+        },
+        "pass_counts": {"passed": 1, "failed": 0},
+        "seed": 0,
+    }
+    sec["json_emit"], text = timed(lambda: json.dumps(report, indent=2, allow_nan=False))
     counters = {
         "cells": len(cx),
         "critical": len(g.critical),
         "basis_classes": len(classes),
         "betti": betti,
         "expand_cells_out": sum(len(c) for c in chains),
+        "report_bytes": len(text),
     }
     return sec, counters
 
@@ -154,6 +174,7 @@ def git(*args: str) -> str | None:
 
 
 def main() -> int:
+    gc.disable()
     seconds = {g: {} for g in STAGES}
     counters = {g: {} for g in STAGES}
     for n in SIZES:
