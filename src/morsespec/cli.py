@@ -106,9 +106,10 @@ def _emit(report: dict, json_path: str | None) -> None:
         # The one overflow route: a result that left binary64 is inf or nan,
         # which the encoder refuses.
         raise _overflow(report["command"], report["inputs"]) from None
-    print(text)
+    # The file first: a path that cannot be written exits 2 with nothing on stdout.
     if json_path:
         Path(json_path).write_text(text + "\n")
+    print(text)
 
 
 def _echo(args, *names: str) -> dict:

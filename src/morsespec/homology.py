@@ -6,8 +6,11 @@ boundary matrix reduced once with the columns that the grade above cleared
 skipped.  It supplies the canonical homology classes of class selectors.
 
 A cell has a few faces however many cells its dimension holds, so the
-columns are row-index lists, reduced by ``gf2.reduce_sparse`` in memory
-linear in their entries (the Morse complex keeps bitmasks).
+columns are row-index lists (the Morse complex keeps bitmasks), reduced by
+``gf2.reduce_columns``.  On a surface every matrix is graphic: an edge has two
+vertices and lies in at most two top cells.  So the selectors of a surface
+run on union-find, in near-linear time; a middle grade, as in a 3-torus, or
+a non-manifold top grade falls back to ``gf2.reduce_sparse``.
 
 Chains over the full complex are frozensets of cell ids.  A complex numbers
 its cells dimension by dimension, so row i of a d-chain is the cell
@@ -17,7 +20,7 @@ of its dimension, and kernel combinations are themselves chains.
 
 from __future__ import annotations
 
-from collections.abc import Container, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import gf2
@@ -41,14 +44,12 @@ class HomologyClass:
         return bool(self.support)
 
 
-def boundary_columns(cx: CellComplex, dim: int, skip: Container[int] = ()) -> list[Sequence[int]]:
+def boundary_columns(cx: CellComplex, dim: int) -> Sequence[Sequence[int]]:
     """Columns of the boundary matrix from dim-cells to (dim-1)-cells as row
-    indices (face id minus the first (dim-1)-cell id); those in skip are ()."""
+    indices (face id minus the first (dim-1)-cell id)."""
     ids, rows = cx.ids_of_dim(dim), cx.ids_of_dim(dim - 1).start
-    return [
-        () if j in skip else [f - rows for f in fs]
-        for j, fs in enumerate(cx.faces[ids.start : ids.stop])
-    ]
+    faces = cx.faces[ids.start : ids.stop]
+    return [[f - rows for f in fs] for fs in faces] if rows else faces
 
 
 def boundary_support(cx: CellComplex, support) -> frozenset[int]:
@@ -65,15 +66,15 @@ def is_cycle(cx: CellComplex, support) -> bool:
 
 def homology_basis(cx: CellComplex) -> dict[int, list[HomologyClass]]:
     """A deterministic homology basis per grade: the ``gf2.homology_cycles`` walk
-    over the boundary matrices, columns in id order, reduced sparse."""
+    over the boundary matrices, columns in id order, through ``gf2.reduce_columns``."""
     walk = gf2.homology_cycles(
-        cx.top_dim, lambda d, cleared: boundary_columns(cx, d, cleared), gf2.reduce_sparse
+        cx.top_dim, lambda d: boundary_columns(cx, d), gf2.reduce_columns
     )
     out: dict[int, list[HomologyClass]] = {}
     for d, cycles in walk:
-        ids = cx.ids_of_dim(d)
+        start = cx.ids_of_dim(d).start
         out[d] = [
-            HomologyClass(d, frozenset(ids[i] for i in combo), "full", owner=cx)
+            HomologyClass(d, frozenset(map(start.__add__, combo)), "full", owner=cx)
             for combo in cycles
         ]
     return dict(sorted(out.items()))

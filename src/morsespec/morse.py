@@ -403,7 +403,7 @@ def verify_d_squared(mc: MorseComplex) -> bool:
 def homology_basis(mc: MorseComplex) -> dict[int, list[HomologyClass]]:
     """Per grade, a deterministic GF(2) basis of cycles modulo boundaries."""
     walk = gf2.homology_cycles(
-        mc.complex.top_dim, lambda k, _: mc.boundary.get(k, []), gf2.reduce_boundary
+        mc.complex.top_dim, lambda k: mc.boundary.get(k, []), gf2.reduce_boundary
     )
     return {
         k: [HomologyClass(k, mc.unmask(k, v), "morse", owner=mc) for v in cycles]

@@ -3,6 +3,9 @@
 Random fields use dyadic rationals (k / 2^20 with distinct integers k) so
 that sums and differences of field values are exact in binary64; "exact"
 assertions in the tests then really are exact.
+
+The Hypothesis profile ``ci`` (``pytest --hypothesis-profile=ci``) runs each
+property that sets no example count of its own on 1,000 examples.
 """
 
 from __future__ import annotations
@@ -11,10 +14,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import settings
 
 from morsespec import CellComplex, build_from_simplicial, build_torus_grid, make_field
 
 DENOM = 1 << 20
+
+settings.register_profile("ci", max_examples=1000)
 
 
 def dyadic_field(cx, rng, span_bits=20):

@@ -5,8 +5,10 @@ cycles from one ``gf2.homology_cycles`` walk: the grades top down, each
 boundary matrix reduced once, skipping every column that is a pivot row of
 the boundary from the grade above (clearing).  The Morse route reduces
 bitmask columns with ``gf2.reduce_boundary``; the full-complex route reduces
-index-list columns with ``gf2.reduce_sparse``, which must return what
-``gf2.reduce_boundary`` returns on the same columns as masks.
+index-list columns through ``gf2.reduce_columns``, which takes union-find on
+graphic matrices (checked against the elimination loop in
+``test_reducers.py``) and ``gf2.reduce_sparse`` on the rest; that loop must
+return what ``gf2.reduce_boundary`` returns on the same columns as masks.
 The reference here is the route without clearing: a kernel basis built by
 an explicit (column, combination) pair loop over every column, then each
 kernel vector reduced against the echelon of the boundary from the grade

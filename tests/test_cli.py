@@ -488,6 +488,15 @@ def test_json_file_written_and_inputs_echo(capsys, tmp_path):
     assert on_disk["inputs"]["field"] == "expr:random:2"
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_json_path_leaves_stdout_empty(capsys, tmp_path, where):
+    target = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
+    error = bad_input(
+        capsys, "homology", "--complex", "torus:3:3", "--field", "expr:bump", "--json", str(target)
+    )
+    assert str(target) in error
+
+
 def test_doublings_below_one_rejected(capsys):
     code, out, err = run_cli(
         capsys,

@@ -1,17 +1,21 @@
-"""Wall time of the pipeline stages at fixed sizes, recorded in BENCH_17.json.
+"""Wall time of the pipeline stages at fixed sizes, recorded in BENCH_18.json.
 
 Usage (from any directory, no flags, no environment variables):
 
     python3 tools/stages.py
 
 It imports morsespec from the ``src/`` next to this file and times, on torus
-grids of 32², 64², 128² and 256² vertices, the stages that do not depend on
-the field once per size (group ``full complex``):
+grids of 32², 64², 128², 256² and 512² vertices, the stages that do not
+depend on the field once per size (group ``full complex``):
 
 * ``build_torus_grid``: the complex itself, face and vertex tuples and the
   coface table;
 * ``selectors``: ``homology.homology_basis`` of the full complex, which names
-  the classes of ``--class all`` / ``grade:K:index:I``;
+  the classes of ``--class all`` / ``grade:K:index:I``; each boundary matrix
+  goes through ``gf2.reduce_columns``, which takes union-find on a surface;
+* ``selectors_elimination``: the same walk with every matrix on the
+  elimination loop ``gf2.reduce_sparse``.  The two run alternately, so their
+  ratio is read off one run on one host;
 
 and under each of ``expr:random:1`` and ``expr:bump``:
 
@@ -31,17 +35,19 @@ and under each of ``expr:random:1`` and ``expr:bump``:
 Every stage runs with the cyclic garbage collector off, as the CLI runs its
 commands; a ``gc.collect()`` before each run frees what the last one left.
 Every stage runs three times and its fastest run is kept, so fast and slow
-stages are compared on the same number of samples.  Each group also reports the 64²→128² and
-128²→256² ratios of every stage, where linear cost gives about 4, and its
-structural counters.  The selector counters are, per grade d, the columns
-of the d-th boundary matrix that a cleared reduction reduces and the ones it
-skips (the rank of the (d+1)-th), read off the basis sizes; next to them,
-``reduce_sparse_columns`` counts, in one more untimed run, the columns that
-``gf2.reduce_sparse`` was actually handed and did not skip, and
-``process_peak_rss_mib`` is the process's peak resident set right after the
-selectors at that size.
+stages are compared on the same number of samples.  Each group also reports
+the 64²→128², 128²→256² and 256²→512² ratios of every stage, where linear
+cost gives about 4, and its structural counters.  The selector counters are,
+per grade d, the columns of the d-th boundary matrix that a cleared
+reduction reduces and the ones it skips (the rank of the (d+1)-th), read off
+the basis sizes; next to them, ``route_columns`` gives, from one more
+untimed run, the columns that each route of ``gf2.reduce_columns`` reduced
+per grade (``edges``, ``rows`` or ``sparse``, skipped columns not counted),
+and ``process_peak_rss_mib`` is the process's peak resident set right after
+the two selector routes at that size, which the elimination route sets from
+256² on.  The whole run peaks near 1.9 GB, at 512².
 
-The run is stored in ``BENCH_17.json`` at the checkout root under
+The run is stored in ``BENCH_18.json`` at the checkout root under
 ``runs[LABEL]``: LABEL is the git SHA of HEAD, with ``+worktree`` appended
 when ``src/`` differs from HEAD.  Everything else already in the file is
 kept, so the runs of other commits and any benchmark numbers recorded there
@@ -69,27 +75,44 @@ from morsespec import (  # noqa: E402
 from morsespec.fields import expression_field  # noqa: E402
 from morsespec.morse import build_gradient, build_morse_complex  # noqa: E402
 
-SIZES = (32, 64, 128, 256)
+SIZES = (32, 64, 128, 256, 512)
 FIELDS = ("random:1", "bump")
 FULL = "full complex"
 STAGES = {
-    FULL: ("build_torus_grid", "selectors"),
+    FULL: ("build_torus_grid", "selectors", "selectors_elimination"),
     **{f: ("expression_field", "make_field", "build_gradient", "build_morse_complex",
            "verify_d_squared+to_json_dict", "betti", "expand", "json_emit")
        for f in FIELDS},
 }
-OUT = ROOT / "BENCH_17.json"
+OUT = ROOT / "BENCH_18.json"
+ROUTES = ("edges", "rows", "sparse")
+
+
+def timed_once(fn):
+    """(wall time, result) of one run, after a ``gc.collect()``."""
+    gc.collect()
+    t0 = time.perf_counter()
+    out = fn()
+    return time.perf_counter() - t0, out
 
 
 def timed(fn):
     """(fastest wall time of three runs, last result)."""
     best = float("inf")
     for _ in range(3):
-        gc.collect()
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
+        t, out = timed_once(fn)
+        best = min(best, t)
     return best, out
+
+
+def timed_pair(fa, fb):
+    """``timed`` of fa and of fb, their runs alternating: (time a, time b, results)."""
+    best_a = best_b = float("inf")
+    for _ in range(3):
+        ta, out_a = timed_once(fa)
+        tb, out_b = timed_once(fb)
+        best_a, best_b = min(best_a, ta), min(best_b, tb)
+    return best_a, best_b, (out_a, out_b)
 
 
 def verify_and_dump(mc):
@@ -132,34 +155,66 @@ def measure(cx, name: str) -> tuple[dict, dict]:
     return sec, counters
 
 
+def elimination_basis(cx):
+    """``homology_basis`` with every boundary matrix on ``gf2.reduce_sparse``."""
+    entry = gf2.reduce_columns
+    gf2.reduce_columns = gf2.reduce_sparse
+    try:
+        return fullh.homology_basis(cx)
+    finally:
+        gf2.reduce_columns = entry
+
+
+def route_columns(cx) -> dict:
+    """Per grade, the columns each route of ``gf2.reduce_columns`` reduced."""
+    saved = {name: getattr(gf2, f"reduce_{name}") for name in ("columns", *ROUTES)}
+    counts: dict = {}
+    grade = cx.top_dim + 1
+
+    def entry(columns, skip=()):
+        nonlocal grade
+        grade -= 1
+        return saved["columns"](columns, skip)
+
+    def route(name):
+        def counted(columns, *skip):
+            out = saved[name](columns, *skip)
+            if out is not None:  # reduce_rows returns None on a matrix it refuses
+                cleared = skip[0] if skip else ()
+                counts.setdefault(str(grade), {})[name] = len(columns) - len(cleared)
+            return out
+        return counted
+
+    gf2.reduce_columns = entry
+    for name in ROUTES:
+        setattr(gf2, f"reduce_{name}", route(name))
+    try:
+        fullh.homology_basis(cx)
+    finally:
+        for name, fn in saved.items():
+            setattr(gf2, f"reduce_{name}", fn)
+    return counts
+
+
 def measure_full(n: int) -> tuple[dict, dict, object]:
     """Stages of the bare n-by-n torus; returns the complex for the fields."""
     sec = {}
     sec["build_torus_grid"], cx = timed(lambda: build_torus_grid(n, n))
-    sec["selectors"], basis = timed(lambda: fullh.homology_basis(cx))
+    sec["selectors"], sec["selectors_elimination"], (basis, same) = timed_pair(
+        lambda: fullh.homology_basis(cx), lambda: elimination_basis(cx)
+    )
+    if basis != same:
+        raise RuntimeError("the selectors differ from the elimination route's")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     reduced, cleared, rank_above = {}, {}, 0
     for d in range(cx.top_dim, -1, -1):
         cleared[d] = rank_above
         reduced[d] = len(cx.ids_of_dim(d)) - rank_above
         rank_above = reduced[d] - len(basis[d])
-    columns = 0
-    plain = gf2.reduce_sparse
-
-    def counted(cols, skip):
-        nonlocal columns
-        columns += sum(j not in skip for j in range(len(cols)))
-        return plain(cols, skip)
-
-    gf2.reduce_sparse = counted
-    try:
-        fullh.homology_basis(cx)
-    finally:
-        gf2.reduce_sparse = plain
     counters = {
         "columns_reduced": reduced,
         "columns_cleared": cleared,
-        "reduce_sparse_columns": columns,
+        "route_columns": route_columns(cx),
         "process_peak_rss_mib": round(peak, 1),
     }
     return sec, counters, cx
@@ -193,7 +248,7 @@ def main() -> int:
                 s: round(seconds[g][f"{b}x{b}"][s] / seconds[g][f"{a}x{a}"][s], 2)
                 for s in stages
             }
-            for a, b in ((64, 128), (128, 256))
+            for a, b in ((64, 128), (128, 256), (256, 512))
         }
         for g, stages in STAGES.items()
     }
