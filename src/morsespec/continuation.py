@@ -48,10 +48,10 @@ def continuation_map(
 ) -> HomologyClass:
     """Image of a class of the source field in the target field's complex.
 
-    X must be a nonzero cycle of ``mc_minus`` (``MorseComplex.class_mask``).
+    X must be a nonzero cycle of ``mc_minus`` (``MorseComplex.class_positions``).
     """
     check_one_complex(mc_minus, mc_plus)
-    mc_minus.class_mask(X)
+    mc_minus.class_positions(X)
     image = _transfer(mc_minus, mc_plus, X.support)
     return HomologyClass(X.grade, image, "morse", owner=mc_plus)
 

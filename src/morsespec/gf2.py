@@ -1,16 +1,15 @@
-"""GF(2) column linear algebra on int bitmasks and on sparse row sets.
+"""GF(2) column reduction on sparse row-index columns.
 
-A bitmask vector is a Python int; bit i is coordinate i.  Column reduction
-keeps at most one column per pivot (the highest coordinate), processing
-columns in the order given, so every routine here is deterministic.
-``reduce_vector`` is the one bitmask elimination loop; ``reduce_boundary``
-reduces augmented columns with it whose low bits carry the combination, and
-``reduce_sparse`` does the same on row-index columns held as sets, at a cost
-per entry rather than per top index.  Both return the kernel and the pivot
-rows, and ``homology_cycles`` walks a chain complex's grades top down with
-either one, so each boundary matrix is reduced once (clearing).
+A column lists the rows of its nonzero entries.  Column reduction keeps at
+most one column per pivot (the largest row), processing columns in the order
+given, so every routine here is deterministic.  ``reduce_sparse`` is the
+elimination loop: each column is reduced as a set of rows with a set of
+column indices beside it for its combination, at a cost per entry rather
+than per top index.  It returns the kernel combinations and the pivot rows,
+and ``homology_cycles`` walks a chain complex's grades top down with it, so
+each boundary matrix is reduced once (clearing).
 
-Row-index columns go through ``reduce_columns``, which returns what
+Every matrix goes through ``reduce_columns``, which returns what
 ``reduce_sparse`` returns but takes union-find where the matrix is graphic:
 ``reduce_edges`` when every column has at most two rows (a graph's incidence
 matrix, as the boundary of edges), ``reduce_rows`` when every row has at most
@@ -25,70 +24,18 @@ from __future__ import annotations
 from collections.abc import Callable, Collection, Container, Iterable, Iterator, Sequence
 
 
-def pivot(v: int) -> int:
-    """Index of the highest set bit. The zero vector has no pivot."""
-    if v == 0:
-        raise ValueError("zero vector has no pivot")
-    return v.bit_length() - 1
-
-
-def echelonize(columns: Iterable[int]) -> dict[int, int]:
-    """Reduce columns to echelon form with distinct pivots.
-
-    Returns a map pivot -> column. Columns that reduce to zero are dropped.
-    """
-    ech: dict[int, int] = {}
-    for v in columns:
-        v = reduce_vector(v, ech)
-        if v:
-            ech[pivot(v)] = v
-    return ech
-
-
-def reduce_vector(v: int, ech: dict[int, int]) -> int:
-    """Cancel the top bit of v against ech until it is no longer a pivot."""
-    while v:
-        p = v.bit_length() - 1
-        col = ech.get(p)
-        if col is None:
-            return v
-        v ^= col
-    return 0
-
-
-def reduce_boundary(columns: list[int], skip: Container[int] = ()) -> tuple[list[int], set[int]]:
-    """(kernel masks, pivot rows) of the columns whose index is not in skip.
-
-    A mask c has XOR of {columns[j] : bit j of c} = 0.  Column j is reduced as
-    ``(columns[j] << n) | 1 << j``; once its column part cancels, the low n
-    bits hold its combination, whose top bit is j.  The pivot rows are the
-    keys of ``echelonize`` on the same columns.  Clearing (Chen-Kerber): a
-    pivot row j of the boundary into a grade is the top bit of a cycle, so
-    column j of the grade's own boundary is dependent and may be skipped.
-    """
-    n = len(columns)
-    ech: dict[int, int] = {}
-    out = []
-    for j, col in enumerate(columns):
-        if j in skip:
-            continue
-        v = reduce_vector((col << n) | 1 << j, ech)
-        if v >> n:
-            ech[pivot(v)] = v
-        else:
-            out.append(v)
-    return out, {p - n for p in ech}
-
-
 def reduce_sparse(
     columns: Sequence[Iterable[int]], skip: Container[int] = ()
 ) -> tuple[list[set[int]], set[int]]:
-    """``reduce_boundary`` on columns given as row indices.
+    """(kernel combinations, pivot rows) of the columns whose index is not in
+    skip.
 
     Column j is reduced as a set of rows with the set {j} beside it for its
-    combination; XOR is ``^=`` on both and the pivot is the largest row.  The
-    kernel combinations (sets of column indices) and the pivot rows equal
-    ``reduce_boundary``'s on the same columns as masks, in the same order.
+    combination; XOR is ``^=`` on both and the pivot is the largest row.  A
+    combination c has XOR of {columns[j] : j in c} = 0, and its largest index
+    is the column it belongs to.  Clearing (Chen-Kerber): a pivot row j of the
+    boundary into a grade is the top index of a cycle, so column j of the
+    grade's own boundary is dependent and may be skipped.
     """
     ech: dict[int, tuple[set[int], set[int]]] = {}
     out = []
@@ -249,13 +196,12 @@ def reduce_rows(columns: Sequence[Sequence[int]]) -> tuple[list[set[int]], set[i
 
 
 def homology_cycles(
-    top: int, boundary: Callable[[int], Sequence], reduce: Callable[..., tuple[list, set]]
-) -> Iterator[tuple[int, list]]:
+    top: int, boundary: Callable[[int], Sequence[Sequence[int]]]
+) -> Iterator[tuple[int, list[set[int]]]]:
     """(k, cycles) for k = top..0: a homology basis of each grade.
 
     ``boundary(k)`` returns the columns of the boundary leaving grade k, one
-    per k-cell, and ``reduce`` (``reduce_boundary`` for bitmask columns,
-    ``reduce_columns`` for index lists) skips the ones whose index is a pivot
+    per k-cell, and ``reduce_columns`` skips the ones whose index is a pivot
     row of the boundary leaving grade k+1.  A grade's cycles are its kernel
     combinations without those cleared columns.  A cycle's top index is no
     pivot row of the grade above, so the cycles stay independent modulo
@@ -263,27 +209,5 @@ def homology_cycles(
     """
     cleared: set[int] = set()
     for k in range(top, -1, -1):
-        cycles, cleared = reduce(boundary(k), cleared)
+        cycles, cleared = reduce_columns(boundary(k), cleared)
         yield k, cycles
-
-
-def from_bits(bits: Iterable[int]) -> int:
-    v = 0
-    for b in bits:
-        v |= 1 << b
-    return v
-
-
-def to_bits(v: int) -> list[int]:
-    """Indices of the set bits of v, ascending; one step per set bit.
-
-    A negative v has no finite set of bits and raises ValueError.
-    """
-    if v < 0:
-        raise ValueError(f"negative vector {v} has no finite set of bits")
-    out = []
-    while v:
-        low = v & -v
-        out.append(low.bit_length() - 1)
-        v ^= low
-    return out

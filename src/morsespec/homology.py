@@ -6,7 +6,7 @@ boundary matrix reduced once with the columns that the grade above cleared
 skipped.  It supplies the canonical homology classes of class selectors.
 
 A cell has a few faces however many cells its dimension holds, so the
-columns are row-index lists (the Morse complex keeps bitmasks), reduced by
+columns are row-index lists, as the Morse complex's are, reduced by
 ``gf2.reduce_columns``.  On a surface every matrix is graphic: an edge has two
 vertices and lies in at most two top cells.  So the selectors of a surface
 run on union-find, in near-linear time; a middle grade, as in a 3-torus, or
@@ -67,9 +67,7 @@ def is_cycle(cx: CellComplex, support) -> bool:
 def homology_basis(cx: CellComplex) -> dict[int, list[HomologyClass]]:
     """A deterministic homology basis per grade: the ``gf2.homology_cycles`` walk
     over the boundary matrices, columns in id order, through ``gf2.reduce_columns``."""
-    walk = gf2.homology_cycles(
-        cx.top_dim, lambda d: boundary_columns(cx, d), gf2.reduce_columns
-    )
+    walk = gf2.homology_cycles(cx.top_dim, lambda d: boundary_columns(cx, d))
     out: dict[int, list[HomologyClass]] = {}
     for d, cycles in walk:
         start = cx.ids_of_dim(d).start

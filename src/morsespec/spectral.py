@@ -8,14 +8,15 @@ support cell, always the column's top because boundaries strictly descend in
 the total order), then cancel the representative's top cell against matching
 pivots until stuck.  Any other representative differs by a sum of echelon
 columns; the largest pivot used either exceeds the surviving top (raising the
-action) or cannot reach it, so the greedy result is the true minimum.
+action) or cannot reach it, so the greedy result is the true minimum.  The
+echelon and the cancellation are ``MorseComplex.boundary_echelon`` and
+``MorseComplex.reduce_chain``; chains here are position sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from . import gf2
 from .complex import CellComplex, ScalarField, c0_distance
 from .errors import ChainError, ComplexMismatchError
 from .homology import HomologyClass, is_cycle as full_is_cycle
@@ -66,14 +67,13 @@ def spectral_gap(values) -> float:
 def spectral_value(mc: MorseComplex, X: HomologyClass) -> SpectralReport:
     """Exact minimax over representatives of a nonzero Morse class."""
     k = X.grade
-    v = gf2.reduce_vector(mc.class_mask(X), mc.boundary_echelon(k))
-    if v == 0:
+    rest = mc.reduce_chain(k, mc.class_positions(X))
+    if not rest:
         raise ChainError("class is a boundary; spectral value undefined")
-    top = gf2.pivot(v)
-    cell = mc.grades[k][top]
+    cell = mc.grades[k][rest[-1]]
     sigma = mc.field.cell_values[cell]
-    witness = mc.unmask(k, v)
-    return SpectralReport(sigma, witness, sigma in set(spectrum(mc)), cell, k)
+    # The grade's critical values are part of the spectrum.
+    return SpectralReport(sigma, mc.cells_at(k, rest), sigma in mc.values(k), cell, k)
 
 
 def exhaustive_spectral_value(
@@ -82,9 +82,9 @@ def exhaustive_spectral_value(
     """Brute-force minimum action over the whole coset of X.
 
     Walks all combinations of the raw boundary columns entering the grade in
-    Gray-code order; independent of the echelon-greedy path.  The action of a
-    mask is the value of its highest bit because each grade lists cells in
-    ascending order.
+    Gray-code order, one column XORed into the chain per step; independent of
+    the echelon-greedy path.  The action of a chain is the value of its
+    largest position because each grade lists cells in ascending order.
     """
     k = X.grade
     cols = mc.boundary.get(k + 1, [])
@@ -92,19 +92,16 @@ def exhaustive_spectral_value(
         raise ValueError(
             f"{len(cols)} boundary generators exceed the cap {max_generators}"
         )
-    base = mc.mask(k, X.support)
-    if base == 0:
+    cur = mc.positions(k, X.support)
+    if not cur:
         raise ChainError("zero class")
     values = mc.values(k)
-    best = values[base.bit_length() - 1]
-    cur = base
-    prev_gray = 0
+    best = values[max(cur)]
     for i in range(1, 1 << len(cols)):
-        gray = i ^ (i >> 1)
-        cur ^= cols[gf2.pivot(gray ^ prev_gray)]
-        prev_gray = gray
+        # Gray codes i-1 and i differ in the lowest set bit of i.
+        cur.symmetric_difference_update(cols[(i & -i).bit_length() - 1])
         if cur:
-            best = min(best, values[cur.bit_length() - 1])
+            best = min(best, values[max(cur)])
     return best
 
 

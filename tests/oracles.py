@@ -1,12 +1,17 @@
 """Reference homology of the full complex, for checking the Morse route.
 
 These run no ``gf2.homology_cycles`` walk: Betti numbers count ranks from
-``gf2.echelonize`` of every boundary matrix, a boundary test reduces the
-chain against the echelon of the boundary entering its grade, and class
+``echelonize`` of every boundary matrix, a boundary test reduces the chain
+against the echelon of the boundary entering its grade, and class
 coordinates solve one linear system of boundaries plus basis classes.  They
-stay on bitmasks: ``boundary_masks`` turns the index-list columns of
-``morsespec.homology.boundary_columns`` into masks, and a d-chain is a mask
-over ``cx.ids_of_dim(d)`` with bit i the cell ``ids_of_dim(d)[i]``.
+stay on bitmasks, a column form the package keeps only inside the spectral
+echelon: a bitmask vector is a Python int, bit i is coordinate i, and a column's
+pivot is its highest set bit.  ``boundary_masks`` turns the index-list
+columns of ``morsespec.homology.boundary_columns`` into masks, and a d-chain
+is a mask over ``cx.ids_of_dim(d)`` with bit i the cell ``ids_of_dim(d)[i]``;
+``morse_masks`` and ``morse_chain`` do the same for a Morse complex's
+position tuples and chains.  ``reduce_boundary`` is the bitmask elimination
+that ``gf2.reduce_sparse`` and its union-find routes must agree with.
 
 ``reference_gradient`` is the slow route of ``morse.build_gradient``: the
 same lower-star matching from (key, id) heap pairs and a key for every cell.
@@ -19,9 +24,97 @@ from __future__ import annotations
 import heapq
 
 import morsespec.homology as fullh
-from morsespec import gf2
 from morsespec.errors import ChainError, ComplexBuildError, ComplexMismatchError
 from morsespec.morse import DiscreteGradient, vertex_rank
+
+
+def pivot(v: int) -> int:
+    """Index of the highest set bit. The zero vector has no pivot."""
+    if v == 0:
+        raise ValueError("zero vector has no pivot")
+    return v.bit_length() - 1
+
+
+def reduce_vector(v: int, ech: dict[int, int]) -> int:
+    """Cancel the top bit of v against ech until it is no longer a pivot."""
+    while v:
+        col = ech.get(v.bit_length() - 1)
+        if col is None:
+            return v
+        v ^= col
+    return 0
+
+
+def echelonize(columns) -> dict[int, int]:
+    """Reduce columns to echelon form with distinct pivots.
+
+    Returns a map pivot -> column. Columns that reduce to zero are dropped.
+    """
+    ech: dict[int, int] = {}
+    for v in columns:
+        v = reduce_vector(v, ech)
+        if v:
+            ech[pivot(v)] = v
+    return ech
+
+
+def reduce_boundary(columns: list[int], skip=()) -> tuple[list[int], set[int]]:
+    """(kernel masks, pivot rows) of the columns whose index is not in skip.
+
+    A mask c has XOR of {columns[j] : bit j of c} = 0.  Column j is reduced as
+    ``(columns[j] << n) | 1 << j``; once its column part cancels, the low n
+    bits hold its combination, whose top bit is j.  The pivot rows are the
+    keys of ``echelonize`` on the same columns.
+    """
+    n = len(columns)
+    ech: dict[int, int] = {}
+    out = []
+    for j, col in enumerate(columns):
+        if j in skip:
+            continue
+        v = reduce_vector((col << n) | 1 << j, ech)
+        if v >> n:
+            ech[pivot(v)] = v
+        else:
+            out.append(v)
+    return out, {p - n for p in ech}
+
+
+def from_bits(bits) -> int:
+    v = 0
+    for b in bits:
+        v |= 1 << b
+    return v
+
+
+def to_bits(v: int) -> list[int]:
+    """Indices of the set bits of v, ascending; one step per set bit.
+
+    A negative v has no finite set of bits and raises ValueError.
+    """
+    if v < 0:
+        raise ValueError(f"negative vector {v} has no finite set of bits")
+    out = []
+    while v:
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
+    return out
+
+
+def morse_masks(mc, grade: int) -> list[int]:
+    """The Morse boundary leaving ``grade`` as bitmask columns."""
+    return [from_bits(col) for col in mc.boundary.get(grade, [])]
+
+
+def morse_chain(mc, grade: int, support) -> int:
+    """A chain of critical cells of ``grade`` as a bitmask over its positions."""
+    return from_bits(mc.positions(grade, support))
+
+
+def morse_cells(mc, grade: int, v: int) -> frozenset[int]:
+    """The critical cells of ``grade`` at the set bits of v."""
+    return mc.cells_at(grade, to_bits(v))
 
 
 def solve(columns: list[int], target: int) -> int | None:
@@ -31,7 +124,7 @@ def solve(columns: list[int], target: int) -> int | None:
     reduces to zero, and its kernel mask then holds the combination.
     """
     n = len(columns)
-    kernel = gf2.reduce_boundary([*columns, target])[0]
+    kernel = reduce_boundary([*columns, target])[0]
     if kernel and kernel[-1] >> n:
         return kernel[-1] ^ (1 << n)
     return None
@@ -39,7 +132,7 @@ def solve(columns: list[int], target: int) -> int | None:
 
 def boundary_masks(cx, dim: int) -> list[int]:
     """The boundary matrix from dim-cells to (dim-1)-cells as bitmask columns."""
-    return [gf2.from_bits(col) for col in fullh.boundary_columns(cx, dim)]
+    return [from_bits(col) for col in fullh.boundary_columns(cx, dim)]
 
 
 def chain_mask(cx, grade: int, support) -> int:
@@ -47,12 +140,12 @@ def chain_mask(cx, grade: int, support) -> int:
     stray = sorted(c for c in support if c not in ids)
     if stray:
         raise ChainError(f"cells {stray} are not of dimension {grade}")
-    return gf2.from_bits(c - ids.start for c in support)
+    return from_bits(c - ids.start for c in support)
 
 
 def betti_numbers(cx) -> list[int]:
     """Betti numbers b_0..b_top by rank counting on the boundary matrices."""
-    ranks = [len(gf2.echelonize(boundary_masks(cx, d))) for d in range(cx.top_dim + 2)]
+    ranks = [len(echelonize(boundary_masks(cx, d))) for d in range(cx.top_dim + 2)]
     return [
         len(cx.ids_of_dim(d)) - ranks[d] - ranks[d + 1] for d in range(cx.top_dim + 1)
     ]
@@ -62,8 +155,8 @@ def is_boundary(cx, grade: int, support) -> bool:
     """True iff the chain is a mod-2 boundary in the full complex."""
     if grade >= cx.top_dim:
         return not support
-    ech = gf2.echelonize(boundary_masks(cx, grade + 1))
-    return not gf2.reduce_vector(chain_mask(cx, grade, support), ech)
+    ech = echelonize(boundary_masks(cx, grade + 1))
+    return not reduce_vector(chain_mask(cx, grade, support), ech)
 
 
 def classes_equal(cx, grade: int, a, b) -> bool:
@@ -158,10 +251,10 @@ def check_order_decreasing(mc) -> bool:
     vals = mc.field.cell_values
     for k, cols in mc.boundary.items():
         for i, col in enumerate(cols):
-            if col == 0:
+            if not col:
                 continue
             a = mc.grades[k][i]
-            for b in mc.unmask(k - 1, col):
+            for b in mc.cells_at(k - 1, col):
                 if (vals[b], b) >= (vals[a], a):
                     return False
     return True

@@ -3,12 +3,12 @@
 Both ``homology_basis`` routes, and ``MorseComplex.betti``, take their
 cycles from one ``gf2.homology_cycles`` walk: the grades top down, each
 boundary matrix reduced once, skipping every column that is a pivot row of
-the boundary from the grade above (clearing).  The Morse route reduces
-bitmask columns with ``gf2.reduce_boundary``; the full-complex route reduces
+the boundary from the grade above (clearing).  Both routes reduce
 index-list columns through ``gf2.reduce_columns``, which takes union-find on
 graphic matrices (checked against the elimination loop in
 ``test_reducers.py``) and ``gf2.reduce_sparse`` on the rest; that loop must
-return what ``gf2.reduce_boundary`` returns on the same columns as masks.
+return what the bitmask elimination ``oracles.reduce_boundary`` returns on
+the same columns as masks.
 The reference here is the route without clearing: a kernel basis built by
 an explicit (column, combination) pair loop over every column, then each
 kernel vector reduced against the echelon of the boundary from the grade
@@ -56,12 +56,12 @@ def tuple_loop_kernel(columns):
 
 
 def uncleared_cycle_basis(d_in, d_out):
-    ech = gf2.echelonize(d_out)
+    ech = oracles.echelonize(d_out)
     out = []
     for v in tuple_loop_kernel(d_in):
-        v = gf2.reduce_vector(v, ech)
+        v = oracles.reduce_vector(v, ech)
         if v:
-            ech[gf2.pivot(v)] = v
+            ech[oracles.pivot(v)] = v
             out.append(v)
     return out
 
@@ -75,23 +75,23 @@ def check_full_complex(cx):
         d_in = oracles.boundary_masks(cx, d)
         d_out = oracles.boundary_masks(cx, d + 1)
         cycles = uncleared_cycle_basis(d_in, d_out)
-        expected = [frozenset(cells[i] for i in gf2.to_bits(v)) for v in cycles]
+        expected = [frozenset(cells[i] for i in oracles.to_bits(v)) for v in cycles]
         assert [h.support for h in basis[d]] == expected
         # The cleared columns change no pivot: the next grade skips exactly
         # the echelon pivots of this boundary matrix.
         combos, pivots = gf2.reduce_sparse(fullh.boundary_columns(cx, d), cleared)
-        masks, cleared = gf2.reduce_boundary(d_in, cleared)
-        assert masks == cycles == [gf2.from_bits(c) for c in combos]
-        assert cleared == pivots == gf2.echelonize(d_in).keys()
+        masks, cleared = oracles.reduce_boundary(d_in, cleared)
+        assert masks == cycles == [oracles.from_bits(c) for c in combos]
+        assert cleared == pivots == oracles.echelonize(d_in).keys()
 
 
 def check_morse_complex(mc):
     basis = homology_basis(mc)
     for k in range(mc.complex.top_dim + 1):
-        d_out = mc.boundary.get(k + 1, [])
-        assert mc.boundary_echelon(k) == gf2.echelonize(d_out)
-        cycles = uncleared_cycle_basis(mc.boundary.get(k, []), d_out)
-        assert [h.support for h in basis[k]] == [mc.unmask(k, v) for v in cycles]
+        d_out = oracles.morse_masks(mc, k + 1)
+        assert mc.boundary_echelon(k) == oracles.echelonize(d_out)
+        cycles = uncleared_cycle_basis(oracles.morse_masks(mc, k), d_out)
+        assert [h.support for h in basis[k]] == [oracles.morse_cells(mc, k, v) for v in cycles]
 
 
 TORUS_SHAPES = [(n, n) for n in range(2, 25)] + [
@@ -141,7 +141,7 @@ def test_3torus_bases_match_uncleared(shape):
     cx.validate()
     # Every boundary matrix has positive rank, so clearing skips columns of
     # grades 2, 1 and 0.
-    assert all(gf2.echelonize(oracles.boundary_masks(cx, d)) for d in (1, 2, 3))
+    assert all(oracles.echelonize(oracles.boundary_masks(cx, d)) for d in (1, 2, 3))
     check_full_complex(cx)
     assert oracles.betti_numbers(cx) == [1, 3, 3, 1]
     rng = random.Random(8)
@@ -157,12 +157,13 @@ def test_3torus_bases_match_uncleared(shape):
 def test_kernel_basis_skips_only_the_given_dependent_masks(data):
     width = data.draw(st.integers(1, 10), label="width")
     cols = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=14), label="cols")
-    full = gf2.reduce_boundary(cols)[0]
+    full = oracles.reduce_boundary(cols)[0]
     assert full == tuple_loop_kernel(cols)
     # Each kernel mask's top bit is the index of the dependent column it belongs to.
-    dependent = [gf2.pivot(m) for m in full]
+    dependent = [oracles.pivot(m) for m in full]
     skip = data.draw(st.sets(st.sampled_from(dependent)) if dependent else st.just(set()))
-    assert gf2.reduce_boundary(cols, skip)[0] == [m for m in full if gf2.pivot(m) not in skip]
+    kept = [m for m in full if oracles.pivot(m) not in skip]
+    assert oracles.reduce_boundary(cols, skip)[0] == kept
 
 
 @settings(max_examples=300, deadline=None)
@@ -170,14 +171,14 @@ def test_kernel_basis_skips_only_the_given_dependent_masks(data):
 def test_reduce_boundary_pivots_are_the_echelon_pivots(data):
     width = data.draw(st.integers(1, 10), label="width")
     cols = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=14), label="cols")
-    masks, pivots = gf2.reduce_boundary(cols)
-    assert masks == tuple_loop_kernel(cols) == gf2.reduce_boundary(cols)[0]
-    assert pivots == gf2.echelonize(cols).keys()
+    masks, pivots = oracles.reduce_boundary(cols)
+    assert masks == tuple_loop_kernel(cols) == oracles.reduce_boundary(cols)[0]
+    assert pivots == oracles.echelonize(cols).keys()
     # Skipping dependent columns (what clearing does) keeps every pivot.
-    skip = data.draw(st.sets(st.sampled_from([gf2.pivot(m) for m in masks])) if masks
+    skip = data.draw(st.sets(st.sampled_from([oracles.pivot(m) for m in masks])) if masks
                      else st.just(set()))
-    assert gf2.reduce_boundary(cols, skip) == ([m for m in masks if gf2.pivot(m) not in skip],
-                                               pivots)
+    kept = [m for m in masks if oracles.pivot(m) not in skip]
+    assert oracles.reduce_boundary(cols, skip) == (kept, pivots)
 
 
 @settings(max_examples=300, deadline=None)
@@ -186,13 +187,13 @@ def test_reduce_sparse_equals_reduce_boundary(data):
     width = data.draw(st.integers(1, 12), label="width")
     cols = data.draw(st.lists(st.lists(st.integers(0, width - 1), unique=True, max_size=6),
                               max_size=16), label="cols")
-    masks = [gf2.from_bits(col) for col in cols]
+    masks = [oracles.from_bits(col) for col in cols]
     combos, pivots = gf2.reduce_sparse(cols)
-    assert ([gf2.from_bits(c) for c in combos], pivots) == gf2.reduce_boundary(masks)
+    assert ([oracles.from_bits(c) for c in combos], pivots) == oracles.reduce_boundary(masks)
     # Clearing hands down pivot rows of the boundary into this grade: each is
     # the top index of a cycle, so skip sets are drawn from those tops.
-    dependent = [gf2.pivot(m) for m in gf2.reduce_boundary(masks)[0]]
+    dependent = [oracles.pivot(m) for m in oracles.reduce_boundary(masks)[0]]
     skip = data.draw(st.sets(st.sampled_from(dependent)) if dependent else st.just(set()))
     combos, pivots = gf2.reduce_sparse(cols, skip)
-    assert ([gf2.from_bits(c) for c in combos], pivots) == gf2.reduce_boundary(masks, skip)
+    assert ([oracles.from_bits(c) for c in combos], pivots) == oracles.reduce_boundary(masks, skip)
 

@@ -80,10 +80,10 @@ def test_grade_one_matrix_matches_full_complex_change_of_basis():
         for j, X in enumerate(basis_a):
             img = continuation_map(mca, mcb, X)
             # coordinates of img in basis_b through the Morse complex
-            cols = list(mcb.boundary.get(2, [])) + [
-                mcb.mask(1, Z.support) for Z in basis_b
+            cols = oracles.morse_masks(mcb, 2) + [
+                oracles.morse_chain(mcb, 1, Z.support) for Z in basis_b
             ]
-            combo = oracles.solve(cols, mcb.mask(1, img.support))
+            combo = oracles.solve(cols, oracles.morse_chain(mcb, 1, img.support))
             assert combo is not None
             offset = len(mcb.boundary.get(2, []))
             flow_coords = [(combo >> (offset + i)) & 1 for i in range(len(basis_b))]

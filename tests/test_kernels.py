@@ -1,6 +1,6 @@
 """Fast GF(2) and flow kernels against the slow routes they replaced.
 
-``gf2.to_bits`` strips the lowest set bit per step; the reference here is
+``oracles.to_bits`` strips the lowest set bit per step; the reference here is
 the shift loop that visits every bit position up to the top bit.
 ``DiscreteGradient.flow_down`` and ``expand`` decide each matched cell once,
 in a topological order of the V-paths.  The reference for ``flow_down``
@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morsespec.homology as fullh
+import oracles
 from conftest import dyadic_field
-from morsespec import build_from_simplicial, build_torus_grid, gf2, make_field
+from morsespec import build_from_simplicial, build_torus_grid, make_field
 from morsespec.errors import GradientCycleError
 from morsespec.fields import expression_field
 from morsespec.morse import DiscreteGradient, build_gradient
@@ -68,14 +69,14 @@ WIDE = 5000
 @given(
     st.one_of(
         st.integers(0, (1 << WIDE) - 1),
-        st.lists(st.integers(0, WIDE - 1), max_size=24).map(gf2.from_bits),
+        st.lists(st.integers(0, WIDE - 1), max_size=24).map(oracles.from_bits),
     )
 )
 def test_to_bits_matches_shift_loop(v):
-    got = gf2.to_bits(v)
+    got = oracles.to_bits(v)
     assert got == shift_loop_bits(v)
     assert got == [i for i in range(v.bit_length()) if v >> i & 1]
-    assert gf2.from_bits(got) == v
+    assert oracles.from_bits(got) == v
 
 
 def check_expand(g, rng):

@@ -4,7 +4,7 @@ import pytest
 
 import morsespec.homology as fullh
 import oracles
-from conftest import cycle_graph, dyadic_field, random_instance, tetra_boundary
+from conftest import cubical_3torus, cycle_graph, dyadic_field, random_instance, tetra_boundary
 from morsespec import (
     MorseComplex,
     build_from_simplicial,
@@ -96,7 +96,7 @@ def test_four_cycle_max_edge_boundary_vanishes():
     ends = [v_path_targets(u) for u in cx.vertices[emax]]
     assert ends == [vmin, vmin]  # two paths, same target: parity 0
     col = mc.boundary[1][mc.position(emax)[1]]
-    assert col == 0
+    assert col == ()
 
 
 def test_tetra_and_torus_ranks():
@@ -131,7 +131,7 @@ def test_d_squared_detects_mutation():
     for i in range(mc.rank(2)):
         for bit in range(mc.rank(1)):
             cols = {k: list(v) for k, v in mutated.items()}
-            cols[2][i] ^= 1 << bit
+            cols[2][i] = tuple(sorted(set(cols[2][i]) ^ {bit}))
             mc2 = MorseComplex(cx, fld, mc.gradient, mc.grades, cols)
             if not verify_d_squared(mc2):
                 broke = True
@@ -139,6 +139,26 @@ def test_d_squared_detects_mutation():
         if broke:
             break
     assert broke
+
+
+def test_columns_are_ascending_position_tuples(corpus):
+    # The one stored column form: an ascending tuple of row positions in the
+    # grade below, which is what the JSON report carries.
+    rng = random.Random(25)
+    cases = list(corpus) + [
+        (cx, dyadic_field(cx, rng)) for cx in (cubical_3torus(3, 3, 3), cubical_3torus(4, 4, 3))
+    ]
+    for cx, fld in cases:
+        _, mc = pipeline(cx, fld)
+        dump = mc.to_json_dict()["boundary"]
+        assert list(dump) == [str(k) for k in sorted(mc.boundary)]
+        for k, cols in mc.boundary.items():
+            assert len(cols) == mc.rank(k)
+            for col in cols:
+                assert type(col) is tuple and all(type(i) is int for i in col)
+                assert all(a < b for a, b in zip(col, col[1:]))
+                assert all(0 <= i < mc.rank(k - 1) for i in col)
+            assert dump[str(k)] == cols
 
 
 def test_d_squared_vacuous_on_empty():
@@ -231,13 +251,13 @@ def test_project_expand_identity_and_chain_maps(corpus):
             cells = list(cx.ids_of_dim(d))
             chain = frozenset(c for c in cells if rng.random() < 0.4)
             lhs = g.flow_down(boundary_support(cx, chain))
-            rhs = mc.unmask(
-                d - 1, mc.boundary_of(d, mc.mask(d, g.flow_down(chain)))
+            rhs = mc.cells_at(
+                d - 1, mc.boundary_of(d, mc.positions(d, g.flow_down(chain)))
             ) if d - 1 in mc.grades else frozenset()
             projected = g.flow_down(chain)
             if d in mc.grades:
                 assert lhs == (
-                    mc.unmask(d - 1, mc.boundary_of(d, mc.mask(d, projected)))
+                    mc.cells_at(d - 1, mc.boundary_of(d, mc.positions(d, projected)))
                     if d - 1 in mc.grades
                     else frozenset()
                 )
@@ -257,7 +277,7 @@ def test_expand_is_chain_map_on_critical_chains(corpus):
             e = g.expand(chain)
             bd_full = boundary_support(cx, e)
             bd_morse = (
-                mc.unmask(k - 1, mc.boundary_of(k, mc.mask(k, chain)))
+                mc.cells_at(k - 1, mc.boundary_of(k, mc.positions(k, chain)))
                 if k - 1 in mc.grades
                 else frozenset()
             )
@@ -287,10 +307,8 @@ def test_expand_classes_generate_full_homology():
             oracles.class_coordinates(cx, k, e, full_basis[k]) for e in expanded
         ]
         # coordinate vectors over GF(2) must be linearly independent
-        from morsespec import gf2
-
         masks = [sum(b << i for i, b in enumerate(v)) for v in coords]
-        assert len(gf2.echelonize(masks)) == len(masks) == len(full_basis[k])
+        assert len(oracles.echelonize(masks)) == len(masks) == len(full_basis[k])
     for k, classes in full_basis.items():
         for Y in classes:
             back = g.expand(g.flow_down(Y.support))
@@ -314,7 +332,7 @@ def test_same_class_detects_boundaries():
     if mc.rank(2) > 1:
         a = mc.grades[2][0]
         col = mc.boundary[2][0]
-        bd = mc.unmask(1, col)
+        bd = mc.cells_at(1, col)
         (Z,) = homology_basis(mc)[1][:1]
         assert same_class(mc, Z.support, Z.support ^ bd)
 
@@ -325,7 +343,7 @@ def test_non_critical_cell_is_a_chain_error():
     c = next(c for c in range(len(cx)) if c not in mc.gradient.critical)
     for query in (
         lambda: mc.position(c),
-        lambda: mc.mask(cx.dim(c), {c}),
+        lambda: mc.positions(cx.dim(c), {c}),
         lambda: same_class(mc, {c}, set()),
     ):
         with pytest.raises(ChainError, match=f"cell {c} is not critical here"):
@@ -404,7 +422,7 @@ def test_boundary_matches_literal_path_enumeration():
                     parity = 0
                     for f in cx.faces[a]:
                         parity ^= paths_mod2(cx, g, kings, f, b)
-                    assert parity == (cols[i] >> j) & 1
+                    assert parity == int(j in cols[i])
 
 
 def test_expand_agrees_with_algebraic_flow_iteration():

@@ -1,4 +1,4 @@
-"""Wall time of the pipeline stages at fixed sizes, recorded in BENCH_18.json.
+"""Wall time of the pipeline stages at fixed sizes, recorded in BENCH_19.json.
 
 Usage (from any directory, no flags, no environment variables):
 
@@ -24,9 +24,13 @@ and under each of ``expr:random:1`` and ``expr:bump``:
 * ``make_field``: the same field built again from its vertex values, which is
   the lower-star extension alone;
 * ``build_gradient`` and ``build_morse_complex``;
-* ``verify_d_squared`` + ``to_json_dict`` (both walk every boundary column
-  through ``gf2.to_bits``);
-* ``betti``: ``MorseComplex.betti``, the Morse homology walk;
+* ``verify_d_squared`` (a set XOR per boundary entry) and ``to_json_dict``
+  (the boundary columns as they are stored, ascending position tuples);
+* ``betti``: ``MorseComplex.betti``, the Morse homology walk through
+  ``gf2.reduce_columns``;
+* ``spectral_value``: ``project_class`` and ``spectral_value`` of every
+  selector class, which reduce against the bitmask echelon of
+  ``MorseComplex.boundary_echelon``, built once per grade;
 * ``expand`` of every class of the Morse homology basis;
 * ``json_emit``: ``json.dumps(indent=2)`` of the ``homology`` report of that
   complex and field, as the CLI emits it (its length is the
@@ -37,7 +41,12 @@ commands; a ``gc.collect()`` before each run frees what the last one left.
 Every stage runs three times and its fastest run is kept, so fast and slow
 stages are compared on the same number of samples.  Each group also reports
 the 64²→128², 128²→256² and 256²→512² ratios of every stage, where linear
-cost gives about 4, and its structural counters.  The selector counters are,
+cost gives about 4, and its structural counters.  Among the field counters,
+``betti_alloc_peak_mib`` is the peak of the memory that one more, untimed run
+of ``betti`` allocates above what was allocated when it began (``tracemalloc``),
+so it reads the walk's own working set whatever the process peak was before,
+and ``selector_sigmas`` lists the spectral value of each selector class, so
+the runs of two commits can be checked to agree.  The selector counters are,
 per grade d, the columns of the d-th boundary matrix that a cleared
 reduction reduces and the ones it skips (the rank of the (d+1)-th), read off
 the basis sizes; next to them, ``route_columns`` gives, from one more
@@ -47,7 +56,7 @@ and ``process_peak_rss_mib`` is the process's peak resident set right after
 the two selector routes at that size, which the elimination route sets from
 256² on.  The whole run peaks near 1.9 GB, at 512².
 
-The run is stored in ``BENCH_18.json`` at the checkout root under
+The run is stored in ``BENCH_19.json`` at the checkout root under
 ``runs[LABEL]``: LABEL is the git SHA of HEAD, with ``+worktree`` appended
 when ``src/`` differs from HEAD.  Everything else already in the file is
 kept, so the runs of other commits and any benchmark numbers recorded there
@@ -63,6 +72,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,6 +84,7 @@ from morsespec import (  # noqa: E402
 )
 from morsespec.fields import expression_field  # noqa: E402
 from morsespec.morse import build_gradient, build_morse_complex  # noqa: E402
+from morsespec.spectral import project_class, spectral_value  # noqa: E402
 
 SIZES = (32, 64, 128, 256, 512)
 FIELDS = ("random:1", "bump")
@@ -81,10 +92,11 @@ FULL = "full complex"
 STAGES = {
     FULL: ("build_torus_grid", "selectors", "selectors_elimination"),
     **{f: ("expression_field", "make_field", "build_gradient", "build_morse_complex",
-           "verify_d_squared+to_json_dict", "betti", "expand", "json_emit")
+           "verify_d_squared", "to_json_dict", "betti", "spectral_value", "expand",
+           "json_emit")
        for f in FIELDS},
 }
-OUT = ROOT / "BENCH_18.json"
+OUT = ROOT / "BENCH_19.json"
 ROUTES = ("edges", "rows", "sparse")
 
 
@@ -115,20 +127,33 @@ def timed_pair(fa, fb):
     return best_a, best_b, (out_a, out_b)
 
 
-def verify_and_dump(mc):
-    if not verify_d_squared(mc):
-        raise RuntimeError("Morse boundary does not square to zero")
-    return mc.to_json_dict()
+def alloc_peak_mib(fn) -> float:
+    """Peak of what one run of fn allocates above its start, in MiB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
 
 
-def measure(cx, name: str) -> tuple[dict, dict]:
+def measure(cx, name: str, selectors: list) -> tuple[dict, dict]:
     sec = {}
     sec["expression_field"], fld = timed(lambda: expression_field(cx, name))
     sec["make_field"], _ = timed(lambda: make_field(cx, fld.vertex_values))
     sec["build_gradient"], g = timed(lambda: build_gradient(cx, fld))
     sec["build_morse_complex"], mc = timed(lambda: build_morse_complex(cx, fld, g))
-    sec["verify_d_squared+to_json_dict"], dump = timed(lambda: verify_and_dump(mc))
+    sec["verify_d_squared"], d2 = timed(lambda: verify_d_squared(mc))
+    if not d2:
+        raise RuntimeError("Morse boundary does not square to zero")
+    sec["to_json_dict"], dump = timed(mc.to_json_dict)
     sec["betti"], betti = timed(mc.betti)
+    betti_peak = alloc_peak_mib(mc.betti)
+    sec["spectral_value"], sigmas = timed(
+        lambda: [spectral_value(mc, project_class(mc, Y)).sigma for Y in selectors]
+    )
     classes = [h for hs in homology_basis(mc).values() for h in hs]
     sec["expand"], chains = timed(lambda: [g.expand(h.support) for h in classes])
     report = {
@@ -149,6 +174,8 @@ def measure(cx, name: str) -> tuple[dict, dict]:
         "critical": len(g.critical),
         "basis_classes": len(classes),
         "betti": betti,
+        "betti_alloc_peak_mib": round(betti_peak, 2),
+        "selector_sigmas": sigmas,
         "expand_cells_out": sum(len(c) for c in chains),
         "report_bytes": len(text),
     }
@@ -196,8 +223,9 @@ def route_columns(cx) -> dict:
     return counts
 
 
-def measure_full(n: int) -> tuple[dict, dict, object]:
-    """Stages of the bare n-by-n torus; returns the complex for the fields."""
+def measure_full(n: int) -> tuple[dict, dict, object, list]:
+    """Stages of the bare n-by-n torus; returns the complex and its selector
+    classes for the fields."""
     sec = {}
     sec["build_torus_grid"], cx = timed(lambda: build_torus_grid(n, n))
     sec["selectors"], sec["selectors_elimination"], (basis, same) = timed_pair(
@@ -217,7 +245,7 @@ def measure_full(n: int) -> tuple[dict, dict, object]:
         "route_columns": route_columns(cx),
         "process_peak_rss_mib": round(peak, 1),
     }
-    return sec, counters, cx
+    return sec, counters, cx, [h for hs in basis.values() for h in hs]
 
 
 def git(*args: str) -> str | None:
@@ -233,15 +261,15 @@ def main() -> int:
     seconds = {g: {} for g in STAGES}
     counters = {g: {} for g in STAGES}
     for n in SIZES:
-        sec, cnt, cx = measure_full(n)
+        sec, cnt, cx, selectors = measure_full(n)
         for g in STAGES:
             if g != FULL:
-                sec, cnt = measure(cx, g)
+                sec, cnt = measure(cx, g, selectors)
             seconds[g][f"{n}x{n}"] = {k: round(v, 6) for k, v in sec.items()}
             counters[g][f"{n}x{n}"] = cnt
             print(f"{g:>12} {n:>3}² " + "  ".join(f"{k} {v:.4f}s" for k, v in sec.items()),
                   flush=True)
-        del cx
+        del cx, selectors
     ratios = {
         g: {
             f"{a}->{b}": {
