@@ -28,8 +28,6 @@ from .complex import (
 from .continuation import (
     ContinuationReport,
     continuation_map,
-    functoriality_check,
-    roundtrip_check,
     sandwich_built,
 )
 from .homology import HomologyClass
@@ -39,18 +37,14 @@ from .morse import (
     build_gradient,
     build_morse_complex,
     homology_basis,
-    same_class,
     verify_d_squared,
 )
 from .spectral import (
-    LipschitzReport,
     SpectralReport,
     SweepReport,
     chain_action,
     exhaustive_spectral_value,
-    lipschitz_check,
     rho,
-    spectral_gap,
     spectral_value,
     spectrum,
     sweep,
@@ -64,7 +58,6 @@ __all__ = [
     "ContinuationReport",
     "DiscreteGradient",
     "HomologyClass",
-    "LipschitzReport",
     "MorseComplex",
     "MoserNorm",
     "ScalarField",
@@ -82,11 +75,9 @@ __all__ = [
     "corollary_bound",
     "eta_bound",
     "exhaustive_spectral_value",
-    "functoriality_check",
     "homology_basis",
     "iteration_bound",
     "iteration_oracle",
-    "lipschitz_check",
     "load_field",
     "load_simplicial",
     "make_field",
@@ -94,10 +85,7 @@ __all__ = [
     "moser_norm",
     "per_step_bound",
     "rho",
-    "roundtrip_check",
-    "same_class",
     "sandwich_built",
-    "spectral_gap",
     "spectral_value",
     "spectrum",
     "step_threshold",

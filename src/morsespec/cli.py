@@ -139,7 +139,7 @@ def _finish(args, inputs: dict, results, passed: int, failed: int) -> int:
 def _cmd_homology(args) -> int:
     cx = _parse_complex(args.complex)
     fld = _parse_field(args.field, cx)
-    mc = morse.MorseComplex.from_field(cx, fld)
+    mc = morse.MorseComplex.from_field(fld)
     d2 = morse.verify_d_squared(mc)
     results = {
         "betti": mc.betti(),
@@ -154,7 +154,7 @@ def _cmd_spectral(args) -> int:
     cx = _parse_complex(args.complex)
     fld = _parse_field(args.field, cx)
     classes = _resolve_classes(cx, args.cls)
-    mc = morse.MorseComplex.from_field(cx, fld)
+    mc = morse.MorseComplex.from_field(fld)
     passed = failed = 0
     results = []
     for label, Y in classes:
@@ -174,8 +174,8 @@ def _cmd_spectral(args) -> int:
 
 
 def _compare_one(cx, fa, fb, classes) -> list[dict]:
-    mc_minus = morse.MorseComplex.from_field(cx, fa)
-    mc_plus = morse.MorseComplex.from_field(cx, fb)
+    mc_minus = morse.MorseComplex.from_field(fa)
+    mc_plus = morse.MorseComplex.from_field(fb)
     results = []
     for label, Y in classes:
         rep = sandwich_built(mc_minus, mc_plus, spectral.project_class(mc_minus, Y))
@@ -209,7 +209,7 @@ def _cmd_sweep(args) -> int:
     fields = family(_parse_field(args.field, cx), args.family, args.seed)
     classes = _resolve_classes(cx, args.cls)
     # A generator: at most two Morse complexes are alive at a time.
-    mcs = (morse.MorseComplex.from_field(cx, fld) for fld in fields)
+    mcs = (morse.MorseComplex.from_field(fld) for fld in fields)
     reports = spectral.sweep(mcs, [Y for _, Y in classes])
     results = [{"class": label, **rep.to_json_dict()} for (label, _), rep in zip(classes, reports)]
     checks = [ok for rep in reports for ok in rep.checks]

@@ -93,39 +93,12 @@ class CellComplex:
     def n_vertices(self) -> int:
         return len(self.ids_of_dim(0))
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(self.ids_of_dim(d)) for d in range(self.top_dim + 1))
-
     @property
     def torus_shape(self) -> tuple[int, int] | None:
         if self.descriptor.startswith("torus:"):
             _, nx, ny = self.descriptor.split(":")
             return int(nx), int(ny)
         return None
-
-    def validate(self) -> None:
-        """Check the structural invariants; raise ComplexBuildError on failure.
-
-        Checks: duplicate-free face lists and every (d, d-2) cell pair has an
-        even number of (d-1)-cells between them (the mod-2 boundary-of-boundary
-        condition).  That the faces of a d-cell are (d-1)-cells is checked on
-        construction.
-        """
-        for d in range(self.top_dim + 1):
-            for c in self.ids_of_dim(d):
-                fs = self.faces[c]
-                if len(set(fs)) != len(fs):
-                    raise ComplexBuildError(f"duplicate face in cell {c}")
-                if d >= 2:
-                    counts: dict[int, int] = {}
-                    for f in fs:
-                        for g in self.faces[f]:
-                            counts[g] = counts.get(g, 0) + 1
-                    odd = [g for g, n in counts.items() if n % 2]
-                    if odd:
-                        raise ComplexBuildError(
-                            f"odd face-of-face incidence between cell {c} and {odd}"
-                        )
 
 
 def build_torus_grid(nx: int, ny: int) -> CellComplex:
@@ -161,11 +134,6 @@ def build_torus_grid(nx: int, ny: int) -> CellComplex:
         (0, nv, 3 * nv, 4 * nv),
         f"torus:{nx}:{ny}",
     )
-
-
-def torus_vertex_id(cx: CellComplex, i: int, j: int) -> int:
-    nx, ny = cx.torus_shape
-    return (j % ny) * nx + (i % nx)
 
 
 def build_from_simplicial(spec: list[list[int]]) -> CellComplex:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .homology import HomologyClass
-from .morse import MorseComplex, check_one_complex, homology_basis, same_class
+from .morse import MorseComplex, check_one_complex
 from .spectral import spectral_value
 
 
@@ -54,33 +54,6 @@ def continuation_map(
     mc_minus.class_positions(X)
     image = _transfer(mc_minus, mc_plus, X.support)
     return HomologyClass(X.grade, image, "morse", owner=mc_plus)
-
-
-def functoriality_check(
-    mc_a: MorseComplex, mc_b: MorseComplex, mc_c: MorseComplex
-) -> bool:
-    """Composing a->b and b->c equals a->c on a full homology basis."""
-    check_one_complex(mc_a, mc_b, mc_c)
-    for classes in homology_basis(mc_a).values():
-        for X in classes:
-            direct = _transfer(mc_a, mc_c, X.support)
-            via_b = _transfer(mc_a, mc_b, X.support)
-            composed = _transfer(mc_b, mc_c, via_b)
-            if not same_class(mc_c, direct, composed):
-                return False
-    return True
-
-
-def roundtrip_check(mc_a: MorseComplex, mc_b: MorseComplex) -> bool:
-    """Going a->b->a is the identity on a homology basis of the source."""
-    check_one_complex(mc_a, mc_b)
-    for classes in homology_basis(mc_a).values():
-        for X in classes:
-            there = _transfer(mc_a, mc_b, X.support)
-            back = _transfer(mc_b, mc_a, there)
-            if not same_class(mc_a, X.support, back):
-                return False
-    return True
 
 
 def sandwich_built(

@@ -8,7 +8,7 @@ import random
 import re
 from collections.abc import Iterator
 
-from .complex import CellComplex, ScalarField, make_field, torus_vertex_id
+from .complex import CellComplex, ScalarField, make_field
 from .errors import InputFormatError
 
 # Random fields use dyadic values k / 2^20 with distinct k, so sums and
@@ -30,7 +30,7 @@ def _torus_bump(cx: CellComplex, centers) -> ScalarField:
     if shape is None:
         raise InputFormatError("bump fields are defined for torus grids only")
     nx, ny = shape
-    vals = [0.0] * (nx * ny)
+    vals = []  # row-major: vertex (i, j) has id j * nx + i
     for j in range(ny):
         for i in range(nx):
             total = 0.0
@@ -38,7 +38,7 @@ def _torus_bump(cx: CellComplex, centers) -> ScalarField:
                 dx = min(abs(i - cx0), nx - abs(i - cx0))
                 dy = min(abs(j - cy0), ny - abs(j - cy0))
                 total += height * math.exp(-(dx * dx + dy * dy) / (2.0 * width * width))
-            vals[torus_vertex_id(cx, i, j)] = total
+            vals.append(total)
     return make_field(cx, vals)
 
 
@@ -67,12 +67,12 @@ def translate_field(fld: ScalarField, dx: int, dy: int) -> ScalarField:
     if shape is None:
         raise InputFormatError("translate requires a torus-grid complex")
     nx, ny = shape
-    vals = [0.0] * (nx * ny)
+    old, cut = fld.vertex_values, nx - dx % nx
+    vals = []
     for j in range(ny):
-        for i in range(nx):
-            vals[torus_vertex_id(cx, i, j)] = fld.vertex_values[
-                torus_vertex_id(cx, i - dx, j - dy)
-            ]
+        # Row j is row j - dy rotated by dx: vertex (i, j) takes (i - dx, j - dy).
+        r = (j - dy) % ny * nx
+        vals += old[r + cut : r + nx] + old[r : r + cut]
     return make_field(cx, vals)
 
 

@@ -26,8 +26,10 @@ full complex, and both take their cycles from one top-down
 which ``betti`` counts).  A Morse column is the ascending tuple of its row
 positions, and a Morse chain is a set of positions in its grade.  Bitmasks
 appear in one place only: the echelon of the boundary entering a grade, which
-``MorseComplex.reduce_chain`` reduces chains against for spectral values and
-class equality.
+``MorseComplex.reduce_chain`` reduces chains against for spectral values.
+
+Everything here takes each fact once: a gradient is built from a field, which
+knows its complex, and a Morse complex from a gradient, which knows its field.
 """
 
 from __future__ import annotations
@@ -46,18 +48,19 @@ _GRAY = object()  # in-progress marker of the V-path walk
 
 @dataclass(eq=False)
 class DiscreteGradient:
-    """A lower-star acyclic matching.
+    """A lower-star acyclic matching on the complex of ``field``.
 
     ``pair_up`` maps a cell to its matched coface, and ``critical`` collects
-    everything unmatched.  ``tie_break`` records which id order broke value
-    ties ("id" or "reverse-id").
+    everything unmatched.
     """
 
-    complex: CellComplex
     field: ScalarField
     pair_up: dict[int, int]
     critical: frozenset[int]
-    tie_break: str = "id"
+
+    @property
+    def complex(self) -> CellComplex:
+        return self.field.complex
 
     # -- the V-path walk ----------------------------------------------------
 
@@ -124,73 +127,39 @@ class DiscreteGradient:
         chain.update(self._descend(set(boundary_support(self.complex, chain))))
         return frozenset(chain)
 
-    # -- validation ----------------------------------------------------------
 
-    def validate(self) -> None:
-        """Check matching invariants and acyclicity; raise on failure."""
-        cx = self.complex
-        seen = set(self.critical)
-        for q, k in self.pair_up.items():
-            if q in seen or k in seen:
-                raise ComplexBuildError(f"cell in pair ({q},{k}) used twice")
-            seen.add(q)
-            seen.add(k)
-        ids = set(range(len(cx)))
-        if seen != ids:
-            stray, missing = sorted(seen - ids), sorted(ids - seen)
-            raise ComplexBuildError(f"matching misses cells: stray {stray}, missing {missing}")
-        rank = vertex_rank(self.field, self.tie_break).__getitem__
-        for q, k in self.pair_up.items():
-            if cx.dim(k) != cx.dim(q) + 1 or q not in cx.faces[k]:
-                raise ComplexBuildError(f"pair ({q},{k}) is not a face-coface pair")
-            if self.field.cell_values[q] != self.field.cell_values[k]:
-                raise ComplexBuildError(f"pair ({q},{k}) crosses a level set")
-            if max(map(rank, cx.vertices[q])) != max(map(rank, cx.vertices[k])):
-                raise ComplexBuildError(f"pair ({q},{k}) crosses lower stars")
-        self._vpath_order(self.pair_up)
-
-
-def vertex_rank(fld: ScalarField, tie_break: str) -> list[int]:
-    """Position of each vertex in the lower-star order: by value, ties by id
-    ("id") or by -id ("reverse-id"), as a stable sort of the ids in that
-    order gives.  This is the one place the tie-break rule is read."""
-    if tie_break not in ("id", "reverse-id"):
-        raise ValueError(f"unknown tie_break {tie_break!r}")
-    n = len(fld.vertex_values)
-    ids = range(n) if tie_break == "id" else range(n - 1, -1, -1)
-    rank = [0] * n
-    for r, v in enumerate(sorted(ids, key=fld.vertex_values.__getitem__)):
+def vertex_rank(fld: ScalarField) -> list[int]:
+    """Position of each vertex in the lower-star order: by value, ties by id,
+    as a stable sort of the ids gives."""
+    rank = [0] * len(fld.vertex_values)
+    for r, v in enumerate(sorted(range(len(rank)), key=fld.vertex_values.__getitem__)):
         rank[v] = r
     return rank
 
 
-def build_gradient(
-    cx: CellComplex, fld: ScalarField, tie_break: str = "id"
-) -> DiscreteGradient:
+def build_gradient(fld: ScalarField) -> DiscreteGradient:
     """Greedy acyclic matching inside each lower star (Robins–Wood–Sheppard,
     "ProcessLowerStars", IEEE TPAMI 2011).
 
     Each cell above dimension 0 has one key: its vertices' ``vertex_rank`` in
-    descending order, then its dimension, then its id (negated under
-    "reverse-id").  The first rank names the cell's lower star, the star of
-    its order-maximal vertex.  A vertex needs no key: it seeds its own star,
-    taken in rank order.  The keys themselves are the heap entries, and a
-    popped key gives its cell back as ``sign * key[2]``.  Within one star the
-    matching is built coreduction style: a cell is matched to a coface as soon
-    as it is that coface's only unpaired face, smallest keys first; when
-    nothing is matchable the smallest remaining cell is declared critical.
+    descending order, then its dimension, then its id.  The first rank names
+    the cell's lower star, the star of its order-maximal vertex.  A vertex
+    needs no key: it seeds its own star, taken in rank order.  The keys
+    themselves are the heap entries, and a popped key gives its cell back as
+    ``key[2]``.  Within one star the matching is built coreduction style: a
+    cell is matched to a coface as soon as it is that coface's only unpaired
+    face, smallest keys first; when nothing is matchable the smallest
+    remaining cell is declared critical.
     Pairings of this kind can never close a V-path, and paths between stars
     only descend, so the matching is acyclic by construction.
     """
-    if fld.complex is not cx:
-        raise ComplexMismatchError("field was built over a different complex")
-    rank = vertex_rank(fld, tie_break)
-    sign = 1 if tie_break == "id" else -1
+    cx = fld.complex
+    rank = vertex_rank(fld)
     faces, vertices, cofaces = cx.faces, cx.vertices, cx.cofaces
     key: list = [None] * len(rank)
     for d in range(1, cx.top_dim + 1):
         key += [
-            (tuple(sorted(map(rank.__getitem__, vertices[c]), reverse=True)), d, sign * c)
+            (tuple(sorted(map(rank.__getitem__, vertices[c]), reverse=True)), d, c)
             for c in cx.ids_of_dim(d)
         ]
     stars: list[list[int]] = [[] for _ in rank]
@@ -214,7 +183,7 @@ def build_gradient(
                 f"lower star of vertex {v} has no edge; cannot seed the matching"
             )
         heapify(pq_zero)
-        first = sign * heappop(pq_zero)[2]
+        first = heappop(pq_zero)[2]
         pair_up[v] = first
         unpaired = set(members[1:])
         unpaired.discard(first)
@@ -227,7 +196,7 @@ def build_gradient(
                         heappush(pq_one, key[co])
             fresh = ()
             while pq_one and not fresh:
-                alpha = sign * heappop(pq_one)[2]
+                alpha = heappop(pq_one)[2]
                 if alpha in unpaired:
                     front = unpaired.intersection(faces[alpha])
                     if front:
@@ -238,13 +207,13 @@ def build_gradient(
                     else:
                         heappush(pq_zero, key[alpha])
             while pq_zero and not fresh:
-                gamma = sign * heappop(pq_zero)[2]
+                gamma = heappop(pq_zero)[2]
                 if gamma in unpaired:
                     unpaired.discard(gamma)
                     critical.add(gamma)
                     fresh = (gamma,)
 
-    return DiscreteGradient(cx, fld, pair_up, frozenset(critical), tie_break)
+    return DiscreteGradient(fld, pair_up, frozenset(critical))
 
 
 @dataclass(eq=False)
@@ -255,12 +224,10 @@ class MorseComplex:
     a grade position i is the i-th smallest cell and a column's largest
     position is its order-maximal entry.  ``boundary[k][i]`` is the boundary
     of the i-th critical k-cell as the ascending tuple of its positions in
-    ``grades[k-1]``.
+    ``grades[k-1]``.  The complex and the field are the gradient's.
     """
 
-    complex: CellComplex
-    field: ScalarField
-    gradient: DiscreteGradient | None
+    gradient: DiscreteGradient
     grades: dict[int, list[int]]
     boundary: dict[int, list[tuple[int, ...]]]
 
@@ -270,16 +237,22 @@ class MorseComplex:
         }
         self._echelon: dict[int, dict[int, int]] = {}
 
+    @property
+    def complex(self) -> CellComplex:
+        return self.gradient.field.complex
+
+    @property
+    def field(self) -> ScalarField:
+        return self.gradient.field
+
     @classmethod
-    def from_field(
-        cls, cx: CellComplex, fld: ScalarField, tie_break: str = "id"
-    ) -> MorseComplex:
+    def from_field(cls, fld: ScalarField) -> MorseComplex:
         """Build the field's lower-star gradient and its Morse complex.
 
         This is the one place that reduces a field's complex; every query
         (spectral values, continuation, homology) then runs on the result.
         """
-        return build_morse_complex(cx, fld, build_gradient(cx, fld, tie_break))
+        return build_morse_complex(build_gradient(fld))
 
     def rank(self, grade: int) -> int:
         return len(self.grades.get(grade, []))
@@ -368,12 +341,10 @@ class MorseComplex:
         return [len(classes) for classes in homology_basis(self).values()]
 
     def to_json_dict(self) -> dict:
+        vals = self.field.cell_values
         return {
             "grades": {
-                str(k): [
-                    {"cell": cid, "value": self.field.cell_values[cid]}
-                    for cid in cells
-                ]
+                str(k): [{"cell": cid, "value": vals[cid]} for cid in cells]
                 for k, cells in sorted(self.grades.items())
             },
             "boundary": {str(k): list(cols) for k, cols in sorted(self.boundary.items())},
@@ -390,9 +361,7 @@ def _reduce(v: int, ech: dict[int, int]) -> int:
     return 0
 
 
-def build_morse_complex(
-    cx: CellComplex, fld: ScalarField, gradient: DiscreteGradient
-) -> MorseComplex:
+def build_morse_complex(gradient: DiscreteGradient) -> MorseComplex:
     """Assemble the Morse complex of a gradient.
 
     Boundary entries are parities of alternating paths from the faces of a
@@ -400,14 +369,12 @@ def build_morse_complex(
     of the faces, one topological walk of the V-paths they reach.  A cycle
     in the matching surfaces as GradientCycleError.
     """
-    if gradient.complex is not cx or gradient.field is not fld:
-        raise ComplexMismatchError("gradient belongs to a different complex or field")
-    vals = fld.cell_values
+    cx, vals = gradient.complex, gradient.field.cell_values
     grades: dict[int, list[int]] = {}
     # Ids run dimension by dimension, so (value, id) is the (value, dim, id) order.
     for cid in sorted(gradient.critical, key=lambda c: (vals[c], c)):
         grades.setdefault(cx.dim(cid), []).append(cid)
-    mc = MorseComplex(cx, fld, gradient, grades, {})
+    mc = MorseComplex(gradient, grades, {})
     # flow_down of a k-cell's faces lands on critical (k-1)-cells.
     pos = mc._pos
     for k, cells in grades.items():
@@ -444,15 +411,3 @@ def homology_basis(mc: MorseComplex) -> dict[int, list[HomologyClass]]:
         k: [HomologyClass(k, mc.cells_at(k, combo), "morse", owner=mc) for combo in cycles]
         for k, cycles in sorted(walk)
     }
-
-
-def same_class(mc: MorseComplex, a, b) -> bool:
-    """Whether two Morse chains of one grade differ by a boundary."""
-    diff = frozenset(a) ^ frozenset(b)
-    if not diff:
-        return True
-    grade = {mc.position(c)[0] for c in diff}
-    if len(grade) != 1:
-        return False
-    (k,) = grade
-    return not mc.reduce_chain(k, mc.positions(k, diff))

@@ -56,14 +56,6 @@ def spectrum(mc: MorseComplex) -> list[float]:
     return sorted(vals)
 
 
-def spectral_gap(values) -> float:
-    """Smallest positive gap between distinct spectrum points (inf if none)."""
-    vs = sorted(set(values))
-    if len(vs) < 2:
-        return float("inf")
-    return min(b - a for a, b in zip(vs, vs[1:]))
-
-
 def spectral_value(mc: MorseComplex, X: HomologyClass) -> SpectralReport:
     """Exact minimax over representatives of a nonzero Morse class."""
     k = X.grade
@@ -135,23 +127,6 @@ def rho(mc: MorseComplex, Y: HomologyClass) -> SpectralReport:
     """
     _check_full_class(mc.complex, Y)
     return spectral_value(mc, project_class(mc, Y))
-
-
-@dataclass(frozen=True)
-class LipschitzReport:
-    lhs: float
-    rhs: float
-    passed: bool
-
-
-def lipschitz_check(
-    mc1: MorseComplex, mc2: MorseComplex, Y: HomologyClass
-) -> LipschitzReport:
-    """Compare |rho(f1) - rho(f2)| against the sup distance of the fields."""
-    check_one_complex(mc1, mc2)
-    lhs = abs(rho(mc1, Y).sigma - rho(mc2, Y).sigma)
-    rhs = c0_distance(mc1.field, mc2.field)
-    return LipschitzReport(lhs, rhs, lhs <= rhs)
 
 
 @dataclass(frozen=True)

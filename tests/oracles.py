@@ -15,17 +15,30 @@ that ``gf2.reduce_sparse`` and its union-find routes must agree with.
 
 ``reference_gradient`` is the slow route of ``morse.build_gradient``: the
 same lower-star matching from (key, id) heap pairs and a key for every cell.
-``check_order_decreasing`` checks a Morse boundary against the total order
-on cells.
+It also breaks value ties by reversed id ("reverse-id"), a second matching of
+the same field that the package never builds: the tests compare the two to
+show that spectral values do not depend on the matching.  ``mirror_gradient``
+builds that second matching through ``build_gradient`` on a relabelled
+complex, as a fast route to hold the reference against.
+
+The predicates check what the package computes and compute nothing it needs:
+``validate_complex`` and ``euler_characteristic`` of a complex,
+``validate_gradient`` of a matching, ``check_order_decreasing`` of a Morse
+boundary against the total order on cells, ``same_class`` of two Morse
+chains, ``functoriality_check`` and ``roundtrip_check`` of the continuation
+maps, ``lipschitz_check`` of rho and ``spectral_gap`` of a spectrum.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 
 import morsespec.homology as fullh
+from morsespec.complex import CellComplex, c0_distance, make_field
 from morsespec.errors import ChainError, ComplexBuildError, ComplexMismatchError
-from morsespec.morse import DiscreteGradient, vertex_rank
+from morsespec.morse import DiscreteGradient, build_gradient, check_one_complex, homology_basis
+from morsespec.spectral import rho
 
 
 def pivot(v: int) -> int:
@@ -173,11 +186,23 @@ def class_coordinates(cx, grade: int, support, basis) -> list[int]:
     return [(combo >> (len(bcols) + k)) & 1 for k in range(len(basis))]
 
 
+def vertex_rank(fld, tie_break: str) -> list[int]:
+    """Position of each vertex in the order by value, ties by id ("id") or by
+    -id ("reverse-id")."""
+    sign = {"id": 1, "reverse-id": -1}[tie_break]
+    vals = fld.vertex_values
+    rank = [0] * len(vals)
+    for r, v in enumerate(sorted(range(len(vals)), key=lambda v: (vals[v], sign * v))):
+        rank[v] = r
+    return rank
+
+
 def reference_gradient(cx, fld, tie_break: str = "id") -> DiscreteGradient:
     """The lower-star matching of ``morse.build_gradient`` by the same rules,
     on a separate route: (key, id) heap pairs, a key for every cell with the
     vertices' keys grouping the stars, edges found by membership tests, and
-    a closure that pushes the candidate cofaces."""
+    a closure that pushes the candidate cofaces.  Under "reverse-id" value
+    ties go to the larger vertex id and key ties to the larger cell id."""
     if fld.complex is not cx:
         raise ComplexMismatchError("field was built over a different complex")
     rank = vertex_rank(fld, tie_break)
@@ -241,7 +266,93 @@ def reference_gradient(cx, fld, tie_break: str = "id") -> DiscreteGradient:
                 push_candidates(gamma)
                 break
 
-    return DiscreteGradient(cx, fld, pair_up, frozenset(critical), tie_break)
+    return DiscreteGradient(fld, pair_up, frozenset(critical))
+
+
+def mirror_gradient(fld) -> DiscreteGradient:
+    """The "reverse-id" matching of ``fld`` through ``build_gradient``.
+
+    Within each dimension the ids of a copy of the complex run backwards, so
+    every id comparison of the lower-star order flips; the "id" matching of
+    the copy, read back through the relabelling, is the "reverse-id" matching
+    of ``fld``.
+    """
+    cx = fld.complex
+    # Reversing the ids within each dimension is its own inverse: cell c of
+    # the copy is cell flip[c] of cx.
+    flip = [c for d in range(cx.top_dim + 1) for c in reversed(cx.ids_of_dim(d))]
+    copy = CellComplex(
+        tuple(tuple(flip[f] for f in cx.faces[c]) for c in flip),
+        tuple(tuple(flip[v] for v in cx.vertices[c]) for c in flip),
+        cx.starts,
+        "mirror",
+    )
+    g = build_gradient(make_field(copy, [fld.vertex_values[c] for c in flip[: cx.n_vertices]]))
+    return DiscreteGradient(
+        fld,
+        {flip[q]: flip[k] for q, k in g.pair_up.items()},
+        frozenset(flip[c] for c in g.critical),
+    )
+
+
+def validate_gradient(g, tie_break: str = "id") -> None:
+    """Check that g is a lower-star matching under ``tie_break`` with no
+    closed V-path; raise on failure.
+
+    Every cell is matched or critical exactly once, each pair is a face and a
+    coface on one level set and in one lower star, and ``flow_down`` of every
+    matched lower cell walks all V-paths, raising GradientCycleError on a
+    closed one.
+    """
+    cx = g.complex
+    seen = set(g.critical)
+    for q, k in g.pair_up.items():
+        if q in seen or k in seen:
+            raise ComplexBuildError(f"cell in pair ({q},{k}) used twice")
+        seen.add(q)
+        seen.add(k)
+    ids = set(range(len(cx)))
+    if seen != ids:
+        stray, missing = sorted(seen - ids), sorted(ids - seen)
+        raise ComplexBuildError(f"matching misses cells: stray {stray}, missing {missing}")
+    rank = vertex_rank(g.field, tie_break).__getitem__
+    for q, k in g.pair_up.items():
+        if cx.dim(k) != cx.dim(q) + 1 or q not in cx.faces[k]:
+            raise ComplexBuildError(f"pair ({q},{k}) is not a face-coface pair")
+        if g.field.cell_values[q] != g.field.cell_values[k]:
+            raise ComplexBuildError(f"pair ({q},{k}) crosses a level set")
+        if max(map(rank, cx.vertices[q])) != max(map(rank, cx.vertices[k])):
+            raise ComplexBuildError(f"pair ({q},{k}) crosses lower stars")
+    g.flow_down(g.pair_up)
+
+
+def validate_complex(cx) -> None:
+    """Check the structural invariants; raise ComplexBuildError on failure.
+
+    Checks: duplicate-free face lists and every (d, d-2) cell pair has an
+    even number of (d-1)-cells between them (the mod-2 boundary-of-boundary
+    condition).  That the faces of a d-cell are (d-1)-cells is checked on
+    construction.
+    """
+    for d in range(cx.top_dim + 1):
+        for c in cx.ids_of_dim(d):
+            fs = cx.faces[c]
+            if len(set(fs)) != len(fs):
+                raise ComplexBuildError(f"duplicate face in cell {c}")
+            if d >= 2:
+                counts: dict[int, int] = {}
+                for f in fs:
+                    for g in cx.faces[f]:
+                        counts[g] = counts.get(g, 0) + 1
+                odd = [g for g, n in counts.items() if n % 2]
+                if odd:
+                    raise ComplexBuildError(
+                        f"odd face-of-face incidence between cell {c} and {odd}"
+                    )
+
+
+def euler_characteristic(cx) -> int:
+    return sum((-1) ** d * len(cx.ids_of_dim(d)) for d in range(cx.top_dim + 1))
 
 
 def check_order_decreasing(mc) -> bool:
@@ -258,3 +369,67 @@ def check_order_decreasing(mc) -> bool:
                 if (vals[b], b) >= (vals[a], a):
                     return False
     return True
+
+
+def same_class(mc, a, b) -> bool:
+    """Whether two Morse chains of one grade differ by a boundary."""
+    diff = frozenset(a) ^ frozenset(b)
+    if not diff:
+        return True
+    grade = {mc.position(c)[0] for c in diff}
+    if len(grade) != 1:
+        return False
+    (k,) = grade
+    return not mc.reduce_chain(k, mc.positions(k, diff))
+
+
+def _transfer(mc_src, mc_dst, support) -> frozenset[int]:
+    return mc_dst.gradient.flow_down(mc_src.gradient.expand(support))
+
+
+def functoriality_check(mc_a, mc_b, mc_c) -> bool:
+    """Composing a->b and b->c equals a->c on a full homology basis."""
+    check_one_complex(mc_a, mc_b, mc_c)
+    for classes in homology_basis(mc_a).values():
+        for X in classes:
+            direct = _transfer(mc_a, mc_c, X.support)
+            via_b = _transfer(mc_a, mc_b, X.support)
+            composed = _transfer(mc_b, mc_c, via_b)
+            if not same_class(mc_c, direct, composed):
+                return False
+    return True
+
+
+def roundtrip_check(mc_a, mc_b) -> bool:
+    """Going a->b->a is the identity on a homology basis of the source."""
+    check_one_complex(mc_a, mc_b)
+    for classes in homology_basis(mc_a).values():
+        for X in classes:
+            there = _transfer(mc_a, mc_b, X.support)
+            back = _transfer(mc_b, mc_a, there)
+            if not same_class(mc_a, X.support, back):
+                return False
+    return True
+
+
+@dataclass(frozen=True)
+class LipschitzReport:
+    lhs: float
+    rhs: float
+    passed: bool
+
+
+def lipschitz_check(mc1, mc2, Y) -> LipschitzReport:
+    """Compare |rho(f1) - rho(f2)| against the sup distance of the fields."""
+    check_one_complex(mc1, mc2)
+    lhs = abs(rho(mc1, Y).sigma - rho(mc2, Y).sigma)
+    rhs = c0_distance(mc1.field, mc2.field)
+    return LipschitzReport(lhs, rhs, lhs <= rhs)
+
+
+def spectral_gap(values) -> float:
+    """Smallest positive gap between distinct spectrum points (inf if none)."""
+    vs = sorted(set(values))
+    if len(vs) < 2:
+        return float("inf")
+    return min(b - a for a, b in zip(vs, vs[1:]))

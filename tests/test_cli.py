@@ -530,7 +530,7 @@ def test_one_gradient_build_per_field(capsys, monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[0])
         return real(*args, **kwargs)
 
     # Replace every reference, so no module can build around the count.

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 from pathlib import Path
 
@@ -20,3 +21,19 @@ def test_all_names_resolve():
     missing = [name for name in morsespec.__all__ if not hasattr(morsespec, name)]
     assert missing == []
     assert len(set(morsespec.__all__)) == len(morsespec.__all__)
+
+
+def test_test_only_names_are_not_exported():
+    # The predicates only tests call live in tests/oracles.py.
+    removed = ("functoriality_check", "roundtrip_check", "lipschitz_check",
+               "LipschitzReport", "same_class", "spectral_gap")
+    assert [name for name in removed if hasattr(morsespec, name)] == []
+
+
+def test_morse_builders_take_one_argument():
+    # A field knows its complex and a gradient its field; ties break by id only.
+    for fn in (morsespec.build_gradient, morsespec.build_morse_complex,
+               morsespec.MorseComplex.from_field):
+        assert len(inspect.signature(fn).parameters) == 1, fn
+    for fn in (morsespec.build_gradient, morsespec.MorseComplex.from_field):
+        assert "tie_break" not in inspect.signature(fn).parameters

@@ -143,8 +143,8 @@ def measure(cx, name: str, selectors: list) -> tuple[dict, dict]:
     sec = {}
     sec["expression_field"], fld = timed(lambda: expression_field(cx, name))
     sec["make_field"], _ = timed(lambda: make_field(cx, fld.vertex_values))
-    sec["build_gradient"], g = timed(lambda: build_gradient(cx, fld))
-    sec["build_morse_complex"], mc = timed(lambda: build_morse_complex(cx, fld, g))
+    sec["build_gradient"], g = timed(lambda: build_gradient(fld))
+    sec["build_morse_complex"], mc = timed(lambda: build_morse_complex(g))
     sec["verify_d_squared"], d2 = timed(lambda: verify_d_squared(mc))
     if not d2:
         raise RuntimeError("Morse boundary does not square to zero")
