@@ -9,9 +9,8 @@ bound under a smallness condition, its N-step chaining, the adiabatic
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import BoundsDomainError, PreconditionError, StepCountError
+from .errors import BoundsDomainError, PreconditionError, ReadOnly, StepCountError
 
 
 def _require_finite(name: str, x: float) -> float:
@@ -35,8 +34,7 @@ def _require_delta(delta: float) -> float:
     return delta
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(ReadOnly):
     """Scalar inputs of the continuation estimates.
 
     delta is the fixed profile parameter in (0, 1); delta0 bounds the
@@ -45,33 +43,35 @@ class BoundParams:
     semi-norms; sigma_minus is the source spectral value.
     """
 
-    delta: float
-    delta0: float = 0.0
-    delta1: float = 0.0
-    delta2: float = 0.0
-    sigma_minus: float = 0.0
+    __slots__ = ("delta", "delta0", "delta1", "delta2", "sigma_minus")
 
-    def __post_init__(self):
-        _require_delta(self.delta)
-        _require_nonneg("delta0", self.delta0)
-        _require_nonneg("delta1", self.delta1)
-        _require_nonneg("delta2", self.delta2)
-        _require_finite("sigma_minus", self.sigma_minus)
+    def __init__(self, delta: float, delta0: float = 0.0, delta1: float = 0.0,
+                 delta2: float = 0.0, sigma_minus: float = 0.0):
+        _require_delta(delta)
+        _require_nonneg("delta0", delta0)
+        _require_nonneg("delta1", delta1)
+        _require_nonneg("delta2", delta2)
+        _require_finite("sigma_minus", sigma_minus)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta0", delta0)
+        object.__setattr__(self, "delta1", delta1)
+        object.__setattr__(self, "delta2", delta2)
+        object.__setattr__(self, "sigma_minus", sigma_minus)
 
 
-@dataclass(frozen=True)
-class MoserNorm:
+class MoserNorm(ReadOnly):
     """Components of the norm of an adapted pair: sup norm of the defining
     function, integrated sup norm of the perturbation, and its semi-norm."""
 
-    f_c0: float
-    h_integral: float
-    kappa: float
+    __slots__ = ("f_c0", "h_integral", "kappa")
 
-    def __post_init__(self):
-        _require_nonneg("f_c0", self.f_c0)
-        _require_nonneg("h_integral", self.h_integral)
-        _require_nonneg("kappa", self.kappa)
+    def __init__(self, f_c0: float, h_integral: float, kappa: float):
+        _require_nonneg("f_c0", f_c0)
+        _require_nonneg("h_integral", h_integral)
+        _require_nonneg("kappa", kappa)
+        object.__setattr__(self, "f_c0", f_c0)
+        object.__setattr__(self, "h_integral", h_integral)
+        object.__setattr__(self, "kappa", kappa)
 
 
 def moser_norm(n: MoserNorm) -> float:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import chain, pairwise
 from pathlib import Path
 
@@ -28,11 +27,11 @@ from .errors import (
     ComplexMismatchError,
     FieldError,
     InputFormatError,
+    ReadOnly,
 )
 
 
-@dataclass(frozen=True)
-class CellComplex:
+class CellComplex(ReadOnly):
     """A finite regular cell complex with mod-2 incidence.
 
     A cell is its id, 0..len-1: ``faces[c]`` lists the ids of its
@@ -44,29 +43,31 @@ class CellComplex:
     ``"simplicial"`` otherwise.
     """
 
-    faces: tuple[tuple[int, ...], ...]
-    vertices: tuple[tuple[int, ...], ...]
-    starts: tuple[int, ...]
-    descriptor: str
-    _cofaces: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("faces", "vertices", "starts", "descriptor", "_cofaces")
 
-    def __post_init__(self):
-        n, s = len(self.faces), self.starts
-        if len(self.vertices) != n:
-            raise ComplexBuildError(f"{n} face lists but {len(self.vertices)} vertex lists")
+    def __init__(self, faces: tuple[tuple[int, ...], ...],
+                 vertices: tuple[tuple[int, ...], ...], starts: tuple[int, ...],
+                 descriptor: str):
+        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "descriptor", descriptor)
+        n, s = len(faces), starts
+        if len(vertices) != n:
+            raise ComplexBuildError(f"{n} face lists but {len(vertices)} vertex lists")
         if len(s) < 2 or s[0] != 0 or s[-1] != n or any(a > b for a, b in pairwise(s)):
             raise ComplexBuildError(
                 f"dimension offsets {list(s)} do not rise from 0 to the {n} cells"
             )
         for d in range(len(s) - 1):
             below = self.ids_of_dim(d - 1)
-            fs = list(chain.from_iterable(self.faces[s[d] : s[d + 1]]))
+            fs = list(chain.from_iterable(faces[s[d] : s[d + 1]]))
             if fs and (min(fs) < below.start or max(fs) >= below.stop):
-                c, f = next((c, f) for c in self.ids_of_dim(d) for f in self.faces[c]
+                c, f = next((c, f) for c in self.ids_of_dim(d) for f in faces[c]
                             if f not in below)
                 raise ComplexBuildError(f"cell {c} (dim {d}) lists face {f}, not in {below}")
         cof: list[list[int]] = [[] for _ in range(n)]
-        for c, fs in enumerate(self.faces):
+        for c, fs in enumerate(faces):
             for f in fs:
                 cof[f].append(c)
         object.__setattr__(self, "_cofaces", tuple(map(tuple, cof)))
@@ -184,8 +185,7 @@ def build_from_simplicial(spec: list[list[int]]) -> CellComplex:
     return CellComplex(tuple(faces), tuple(vertices), tuple(starts), "simplicial")
 
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(ReadOnly):
     """Vertex values with max-extension to cells.
 
     ``cell_values[c]`` is the maximum vertex value over cell c.  The total
@@ -194,9 +194,13 @@ class ScalarField:
     never come after their cofaces in it.
     """
 
-    complex: CellComplex
-    vertex_values: tuple[float, ...]
-    cell_values: tuple[float, ...]
+    __slots__ = ("complex", "vertex_values", "cell_values")
+
+    def __init__(self, complex: CellComplex, vertex_values: tuple[float, ...],
+                 cell_values: tuple[float, ...]):
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "vertex_values", vertex_values)
+        object.__setattr__(self, "cell_values", cell_values)
 
 
 def make_field(cx: CellComplex, values) -> ScalarField:

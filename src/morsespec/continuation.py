@@ -12,22 +12,24 @@ target action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .errors import ReadOnly
 from .homology import HomologyClass
 from .morse import MorseComplex, check_one_complex
 from .spectral import spectral_value
 
 
-@dataclass(frozen=True)
-class ContinuationReport:
+class ContinuationReport(ReadOnly):
     """Spectral values of a class and its image, with the difference bounds."""
 
-    source_sigma: float
-    target_sigma: float
-    lower: float
-    upper: float
-    passed: bool
+    __slots__ = ("source_sigma", "target_sigma", "lower", "upper", "passed")
+
+    def __init__(self, source_sigma: float, target_sigma: float, lower: float,
+                 upper: float, passed: bool):
+        object.__setattr__(self, "source_sigma", source_sigma)
+        object.__setattr__(self, "target_sigma", target_sigma)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "passed", passed)
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types, and the read-only base of the value classes, shared
+across the package."""
 
 from __future__ import annotations
 
@@ -57,3 +58,13 @@ class InputFormatError(MorsespecError, ValueError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
+
+
+class ReadOnly:
+    """Base of the value classes that are read-only once built: ``__init__``
+    sets each slot through ``object.__setattr__``, and assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is read-only")

@@ -21,24 +21,36 @@ of its dimension, and kernel combinations are themselves chains.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from . import gf2
 from .complex import CellComplex
+from .errors import ReadOnly
 
 
-@dataclass(frozen=True)
-class HomologyClass:
+class HomologyClass(ReadOnly):
     """A GF(2) cycle in one grade, tagged with the complex it lives over.
 
     ``basis`` is ``"full"`` for cycles over all cells of a CellComplex and
     ``"morse"`` for cycles over the critical cells of one Morse complex.
+    ``owner`` is that complex, or None; ``==`` and the hash leave it out.
     """
 
-    grade: int
-    support: frozenset[int]
-    basis: str = "full"
-    owner: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("grade", "support", "basis", "owner")
+
+    def __init__(self, grade: int, support: frozenset[int], basis: str = "full",
+                 owner: object = None):
+        object.__setattr__(self, "grade", grade)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "owner", owner)
+
+    def __eq__(self, other):
+        if type(other) is not HomologyClass:
+            return NotImplemented
+        return (self.grade, self.support, self.basis) == (other.grade, other.support, other.basis)
+
+    def __hash__(self) -> int:
+        return hash((self.grade, self.support, self.basis))
 
     def __bool__(self) -> bool:
         return bool(self.support)

@@ -35,7 +35,6 @@ knows its complex, and a Morse complex from a gradient, which knows its field.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from . import gf2
@@ -46,7 +45,6 @@ from .homology import HomologyClass, boundary_support
 _GRAY = object()  # in-progress marker of the V-path walk
 
 
-@dataclass(eq=False)
 class DiscreteGradient:
     """A lower-star acyclic matching on the complex of ``field``.
 
@@ -54,9 +52,12 @@ class DiscreteGradient:
     everything unmatched.
     """
 
-    field: ScalarField
-    pair_up: dict[int, int]
-    critical: frozenset[int]
+    __slots__ = ("field", "pair_up", "critical")
+
+    def __init__(self, field: ScalarField, pair_up: dict[int, int], critical: frozenset[int]):
+        self.field = field
+        self.pair_up = pair_up
+        self.critical = critical
 
     @property
     def complex(self) -> CellComplex:
@@ -216,7 +217,6 @@ def build_gradient(fld: ScalarField) -> DiscreteGradient:
     return DiscreteGradient(fld, pair_up, frozenset(critical))
 
 
-@dataclass(eq=False)
 class MorseComplex:
     """Critical cells graded by dimension with the flow-counted boundary.
 
@@ -227,14 +227,15 @@ class MorseComplex:
     ``grades[k-1]``.  The complex and the field are the gradient's.
     """
 
-    gradient: DiscreteGradient
-    grades: dict[int, list[int]]
-    boundary: dict[int, list[tuple[int, ...]]]
+    # A weak reference lets a caller watch a streamed Morse complex being freed.
+    __slots__ = ("gradient", "grades", "boundary", "_pos", "_echelon", "__weakref__")
 
-    def __post_init__(self):
-        self._pos = {
-            cid: (k, i) for k, cells in self.grades.items() for i, cid in enumerate(cells)
-        }
+    def __init__(self, gradient: DiscreteGradient, grades: dict[int, list[int]],
+                 boundary: dict[int, list[tuple[int, ...]]]):
+        self.gradient = gradient
+        self.grades = grades
+        self.boundary = boundary
+        self._pos = {cid: (k, i) for k, cells in grades.items() for i, cid in enumerate(cells)}
         self._echelon: dict[int, dict[int, int]] = {}
 
     @property

@@ -15,23 +15,24 @@ echelon and the cancellation are ``MorseComplex.boundary_echelon`` and
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 from .complex import CellComplex, ScalarField, c0_distance
-from .errors import ChainError, ComplexMismatchError
+from .errors import ChainError, ComplexMismatchError, ReadOnly
 from .homology import HomologyClass, is_cycle as full_is_cycle
 from .morse import MorseComplex, check_one_complex
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(ReadOnly):
     """Outcome of one spectral-value computation."""
 
-    sigma: float
-    witness: frozenset[int]
-    spectrum_member: bool
-    critical_cell: int
-    grade: int
+    __slots__ = ("sigma", "witness", "spectrum_member", "critical_cell", "grade")
+
+    def __init__(self, sigma: float, witness: frozenset[int], spectrum_member: bool,
+                 critical_cell: int, grade: int):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "spectrum_member", spectrum_member)
+        object.__setattr__(self, "critical_cell", critical_cell)
+        object.__setattr__(self, "grade", grade)
 
     def to_json_dict(self) -> dict:
         return {
@@ -129,21 +130,29 @@ def rho(mc: MorseComplex, Y: HomologyClass) -> SpectralReport:
     return spectral_value(mc, project_class(mc, Y))
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(ReadOnly):
     """rho of one class along a family of fields.
 
     ``lipschitz_margins`` holds c0_distance - |rho change| per consecutive
     pair of fields; ``constant`` is None unless every field has one spectrum.
     """
 
-    rho_values: list[float]
-    lipschitz_margins: list[float]
-    spectra_equal: bool
-    constant: bool | None
+    __slots__ = ("rho_values", "lipschitz_margins", "spectra_equal", "constant")
+
+    def __init__(self, rho_values: list[float], lipschitz_margins: list[float],
+                 spectra_equal: bool, constant: bool | None):
+        object.__setattr__(self, "rho_values", rho_values)
+        object.__setattr__(self, "lipschitz_margins", lipschitz_margins)
+        object.__setattr__(self, "spectra_equal", spectra_equal)
+        object.__setattr__(self, "constant", constant)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "rho_values": self.rho_values,
+            "lipschitz_margins": self.lipschitz_margins,
+            "spectra_equal": self.spectra_equal,
+            "constant": self.constant,
+        }
 
     @property
     def checks(self) -> list[bool]:

@@ -249,14 +249,30 @@ def test_limit_monotone_in_each_delta():
         assert vals == sorted(vals)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(delta=0.0), dict(delta=1.0), dict(delta=math.nan),
+        dict(delta=0.5, delta0=-0.1), dict(delta=0.5, delta1=-0.1),
+        dict(delta=0.5, delta2=-0.1), dict(delta=0.5, delta2=math.inf),
+        dict(delta=0.5, sigma_minus=math.inf), dict(delta=0.5, sigma_minus=math.nan),
+    ],
+    ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
+)
+def test_bound_params_are_checked_at_construction(kw):
+    with pytest.raises(BoundsDomainError):
+        BoundParams(**kw)
+
+
 # ------------------------------------------------------------ norms
 
 
 def test_moser_norm_values():
     assert moser_norm(MoserNorm(0.0, 0.0, 0.0)) == 0.0
     assert moser_norm(MoserNorm(1.0, 2.0, 3.0)) == 6.0
-    with pytest.raises(BoundsDomainError):
-        MoserNorm(-1.0, 0.0, 0.0)
+    for bad in [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0), (math.nan, 0.0, 0.0)]:
+        with pytest.raises(BoundsDomainError):
+            MoserNorm(*bad)
 
 
 def test_moser_norm_triangle_inequality():

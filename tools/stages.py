@@ -1,12 +1,18 @@
-"""Wall time of the pipeline stages at fixed sizes, recorded in BENCH_19.json.
+"""Wall time of the pipeline stages at fixed sizes, recorded in BENCH_21.json.
 
 Usage (from any directory, no flags, no environment variables):
 
     python3 tools/stages.py
 
-It imports morsespec from the ``src/`` next to this file and times, on torus
-grids of 32², 64², 128², 256² and 512² vertices, the stages that do not
-depend on the field once per size (group ``full complex``):
+It imports morsespec from the ``src/`` next to this file.  First it times
+``cli_import``: the median wall time of 21 fresh interpreters that run
+``import morsespec.cli`` with that ``src/`` on the path, minus the median of
+21 that run ``pass``, the two alternating; so it reads what the package's
+import adds to every command's start-up.  With ``PYTHONDONTWRITEBYTECODE=1``
+and no ``__pycache__`` every run compiles the package from source;
+``bytecode_cache`` records whether a cache was there to read.  Then it
+times, on torus grids of 32², 64², 128², 256² and 512² vertices, the stages
+that do not depend on the field once per size (group ``full complex``):
 
 * ``build_torus_grid``: the complex itself, face and vertex tuples and the
   coface table;
@@ -56,7 +62,7 @@ and ``process_peak_rss_mib`` is the process's peak resident set right after
 the two selector routes at that size, which the elimination route sets from
 256² on.  The whole run peaks near 1.9 GB, at 512².
 
-The run is stored in ``BENCH_19.json`` at the checkout root under
+The run is stored in ``BENCH_21.json`` at the checkout root under
 ``runs[LABEL]``: LABEL is the git SHA of HEAD, with ``+worktree`` appended
 when ``src/`` differs from HEAD.  Everything else already in the file is
 kept, so the runs of other commits and any benchmark numbers recorded there
@@ -67,8 +73,10 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -96,8 +104,9 @@ STAGES = {
            "json_emit")
        for f in FIELDS},
 }
-OUT = ROOT / "BENCH_19.json"
+OUT = ROOT / "BENCH_21.json"
 ROUTES = ("edges", "rows", "sparse")
+IMPORT_RUNS = 21
 
 
 def timed_once(fn):
@@ -137,6 +146,27 @@ def alloc_peak_mib(fn) -> float:
         return (tracemalloc.get_traced_memory()[1] - base) / 2**20
     finally:
         tracemalloc.stop()
+
+
+def cli_import() -> dict:
+    """The ``cli_import`` stage: import time of the CLI net of interpreter
+    start-up, from fresh interpreters."""
+    src = ROOT / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    runs: dict[str, list[float]] = {"import morsespec.cli": [], "pass": []}
+    for _ in range(IMPORT_RUNS):
+        for code, times in runs.items():
+            t0 = time.perf_counter()
+            subprocess.run([sys.executable, "-c", code], env=env, check=True)
+            times.append(time.perf_counter() - t0)
+    cli, bare = (statistics.median(times) for times in runs.values())
+    return {
+        "seconds": round(cli - bare, 6),
+        "interpreter_seconds": round(bare, 6),
+        "runs": IMPORT_RUNS,
+        "bytecode_cache": (src / "morsespec" / "__pycache__").is_dir(),
+    }
 
 
 def measure(cx, name: str, selectors: list) -> tuple[dict, dict]:
@@ -257,6 +287,9 @@ def git(*args: str) -> str | None:
 
 
 def main() -> int:
+    startup = cli_import()
+    print(f"cli_import {startup['seconds']:.4f}s over "
+          f"{startup['interpreter_seconds']:.4f}s of interpreter start", flush=True)
     gc.disable()
     seconds = {g: {} for g in STAGES}
     counters = {g: {} for g in STAGES}
@@ -290,6 +323,7 @@ def main() -> int:
         "src_lines": sum(
             len(p.read_text().splitlines()) for p in (ROOT / "src" / "morsespec").glob("*.py")
         ),
+        "cli_import": startup,
         "seconds": seconds,
         "ratios": ratios,
         "counters": counters,
