@@ -43,7 +43,6 @@ from .spectral import (
     SpectralReport,
     SweepReport,
     chain_action,
-    exhaustive_spectral_value,
     rho,
     spectral_value,
     spectrum,
@@ -74,7 +73,6 @@ __all__ = [
     "continuation_map",
     "corollary_bound",
     "eta_bound",
-    "exhaustive_spectral_value",
     "homology_basis",
     "iteration_bound",
     "iteration_oracle",

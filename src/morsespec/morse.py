@@ -46,7 +46,9 @@ _GRAY = object()  # in-progress marker of the V-path walk
 
 
 class DiscreteGradient:
-    """A lower-star acyclic matching on the complex of ``field``.
+    """An acyclic matching on the complex of ``field``: the lower-star one of
+    ``build_gradient``, or the empty one, whose Morse complex is the full
+    complex.
 
     ``pair_up`` maps a cell to its matched coface, and ``critical`` collects
     everything unmatched.

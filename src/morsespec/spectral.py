@@ -69,35 +69,6 @@ def spectral_value(mc: MorseComplex, X: HomologyClass) -> SpectralReport:
     return SpectralReport(sigma, mc.cells_at(k, rest), sigma in mc.values(k), cell, k)
 
 
-def exhaustive_spectral_value(
-    mc: MorseComplex, X: HomologyClass, max_generators: int = 20
-) -> float:
-    """Brute-force minimum action over the whole coset of X.
-
-    Walks all combinations of the raw boundary columns entering the grade in
-    Gray-code order, one column XORed into the chain per step; independent of
-    the echelon-greedy path.  The action of a chain is the value of its
-    largest position because each grade lists cells in ascending order.
-    """
-    k = X.grade
-    cols = mc.boundary.get(k + 1, [])
-    if len(cols) > max_generators:
-        raise ValueError(
-            f"{len(cols)} boundary generators exceed the cap {max_generators}"
-        )
-    cur = mc.positions(k, X.support)
-    if not cur:
-        raise ChainError("zero class")
-    values = mc.values(k)
-    best = values[max(cur)]
-    for i in range(1, 1 << len(cols)):
-        # Gray codes i-1 and i differ in the lowest set bit of i.
-        cur.symmetric_difference_update(cols[(i & -i).bit_length() - 1])
-        if cur:
-            best = min(best, values[max(cur)])
-    return best
-
-
 def _check_full_class(cx: CellComplex, Y: HomologyClass) -> None:
     if Y.basis != "full":
         raise ChainError("expected a full-complex class")

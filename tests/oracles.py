@@ -19,7 +19,13 @@ It also breaks value ties by reversed id ("reverse-id"), a second matching of
 the same field that the package never builds: the tests compare the two to
 show that spectral values do not depend on the matching.  ``mirror_gradient``
 builds that second matching through ``build_gradient`` on a relabelled
-complex, as a fast route to hold the reference against.
+complex, as a fast route to hold the reference against.  ``empty_gradient``
+is a third matching that shares no code with the lower-star builder: it
+leaves every cell critical, so its Morse complex is the full complex.
+
+``exhaustive_spectral_value`` is the brute-force minimum action over a
+class's coset, the small-size reference for the echelon greedy of
+``morsespec.spectral.spectral_value``.
 
 The predicates check what the package computes and compute nothing it needs:
 ``validate_complex`` and ``euler_characteristic`` of a complex,
@@ -293,6 +299,38 @@ def mirror_gradient(fld) -> DiscreteGradient:
         {flip[q]: flip[k] for q, k in g.pair_up.items()},
         frozenset(flip[c] for c in g.critical),
     )
+
+
+def empty_gradient(fld) -> DiscreteGradient:
+    """The empty matching of ``fld``: every cell critical, no V-path."""
+    return DiscreteGradient(fld, {}, frozenset(range(len(fld.complex))))
+
+
+def exhaustive_spectral_value(mc, X, max_generators: int = 20) -> float:
+    """Brute-force minimum action over the whole coset of X.
+
+    Walks all combinations of the raw boundary columns entering the grade in
+    Gray-code order, one column XORed into the chain per step; independent of
+    the echelon-greedy path.  The action of a chain is the value of its
+    largest position because each grade lists cells in ascending order.
+    """
+    k = X.grade
+    cols = mc.boundary.get(k + 1, [])
+    if len(cols) > max_generators:
+        raise ValueError(
+            f"{len(cols)} boundary generators exceed the cap {max_generators}"
+        )
+    cur = mc.positions(k, X.support)
+    if not cur:
+        raise ChainError("zero class")
+    values = mc.values(k)
+    best = values[max(cur)]
+    for i in range(1, 1 << len(cols)):
+        # Gray codes i-1 and i differ in the lowest set bit of i.
+        cur.symmetric_difference_update(cols[(i & -i).bit_length() - 1])
+        if cur:
+            best = min(best, values[max(cur)])
+    return best
 
 
 def validate_gradient(g, tie_break: str = "id") -> None:

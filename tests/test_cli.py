@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from morsespec import cli, morse
-from morsespec.cli import MAX_TORUS_VERTICES, main
+from morsespec.cli import MAX_ORACLE_CELLS, MAX_TORUS_VERTICES, main
 from morsespec.fields import MAX_FAMILY_STEPS
 
 
@@ -92,6 +92,29 @@ def test_spectral_oracle_flag(capsys):
         assert entry["oracle_match"] is True
         assert entry["oracle_sigma"] == entry["sigma"]
     assert rep["pass_counts"] == {"passed": 4, "failed": 0}
+    # One grade of this Morse complex has 23 boundary generators, more than a
+    # brute-force coset search can take; rho on the full complex has no such
+    # limit.
+    code, rep, _ = run_json(
+        capsys,
+        "spectral", "--complex", "torus:8:8", "--field", "expr:random:1",
+        "--class", "all", "--oracle",
+    )
+    assert code == 0
+    assert [entry["oracle_match"] for entry in rep["results"]] == [True] * 4
+
+
+def test_spectral_oracle_cell_cap(capsys, monkeypatch):
+    # Refused before any field or Morse complex is built.
+    monkeypatch.setattr(cli, "_parse_field", None)
+    monkeypatch.setattr(morse, "build_morse_complex", None)
+    error = bad_input(
+        capsys, "spectral", "--complex", "torus:129:128", "--field", "expr:bump", "--oracle"
+    )
+    assert error == (
+        f"--oracle takes up to {MAX_ORACLE_CELLS} cells; "
+        "complex spec 'torus:129:128' has 66048"
+    )
 
 
 def test_compare_fields_and_trials(capsys, tmp_path):

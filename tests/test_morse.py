@@ -229,7 +229,8 @@ def test_tie_break_variants_agree_on_betti(corpus):
     for cx, fld in corpus[:20]:
         _, mc1 = pipeline(cx, fld)
         mc2 = build_morse_complex(oracles.reference_gradient(cx, fld, "reverse-id"))
-        assert mc1.betti() == mc2.betti()
+        mc3 = build_morse_complex(oracles.empty_gradient(fld))
+        assert mc1.betti() == mc2.betti() == mc3.betti()
 
 
 # ------------------------------------------------------------ flow maps

@@ -46,9 +46,9 @@ def test_all_names_resolve():
 
 
 def test_test_only_names_are_not_exported():
-    # The predicates only tests call live in tests/oracles.py.
+    # The predicates and reference routes only tests call live in tests/oracles.py.
     removed = ("functoriality_check", "roundtrip_check", "lipschitz_check",
-               "LipschitzReport", "same_class", "spectral_gap")
+               "LipschitzReport", "same_class", "spectral_gap", "exhaustive_spectral_value")
     assert [name for name in removed if hasattr(morsespec, name)] == []
 
 
