@@ -44,11 +44,14 @@ from .homology import HomologyClass
 # Sizes above these are bad input, refused before any work starts: torus
 # vertices (16 times a 256x256 grid), cells under ``spectral --oracle`` (the
 # 128x128 torus: its full-complex echelons grow quadratically, 126 MiB there
-# and 1.2 GB at 256x256) and ``bounds iterate`` steps (its oracle runs each;
-# 10^7 take seconds).  ``fields.MAX_FAMILY_STEPS`` caps sweeps.
+# and 1.2 GB at 256x256), ``bounds iterate`` steps (its oracle runs each;
+# 10^7 take seconds) and ``compare --trials`` (every entry stays in memory
+# until the report prints).  ``fields.MAX_FAMILY_STEPS`` caps sweeps and
+# ``complex.MAX_SIMPLICIAL_CELLS`` simplicial closures.
 MAX_TORUS_VERTICES = 1 << 20
 MAX_ORACLE_CELLS = 1 << 16
 MAX_ITERATE_N = 10_000_000
+MAX_TRIALS = 10_000
 
 
 def _parse_complex(spec: str) -> CellComplex:
@@ -198,8 +201,8 @@ def _compare_one(cx, fa, fb, classes) -> list[dict]:
 
 
 def _cmd_compare(args) -> int:
-    if args.trials < 0:
-        raise MorsespecError(f"--trials must be >= 0, got {args.trials}")
+    if not 0 <= args.trials <= MAX_TRIALS:
+        raise MorsespecError(f"--trials must be in 0..{MAX_TRIALS}, got {args.trials}")
     if args.trials > 0 and (args.field_a is not None or args.field_b is not None):
         raise MorsespecError("--trials draws random fields; it cannot take --field-a/--field-b")
     cx = _parse_complex(args.complex)
@@ -323,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field-a", default=None)
     p.add_argument("--field-b", default=None)
     p.add_argument("--trials", type=int, default=0,
-                   help="run this many random field pairs instead")
+                   help=f"run this many random field pairs instead (up to {MAX_TRIALS})")
 
     p = command("sweep", "family sweeps: invariance and Lipschitz margins")
     p.add_argument("--family", required=True,

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
-from itertools import chain, pairwise
+from bisect import bisect_left, bisect_right
+from itertools import chain, combinations, pairwise
 from pathlib import Path
 
 from .errors import (
@@ -29,6 +29,10 @@ from .errors import (
     InputFormatError,
     ReadOnly,
 )
+
+# The cell count of the largest torus the command line accepts (4 cells per
+# vertex, 2^20 vertices): a simplicial closure past it is bad input.
+MAX_SIMPLICIAL_CELLS = 4 << 20
 
 
 class CellComplex(ReadOnly):
@@ -143,46 +147,34 @@ def build_from_simplicial(spec: list[list[int]]) -> CellComplex:
     ``spec`` lists each maximal simplex as a collection of vertex labels
     (arbitrary ints).  Labels are remapped to dense ids with the 0-cells
     first, ordered by label; higher cells follow dimension by dimension in
-    lexicographic vertex order.
+    lexicographic vertex order.  The closure of a simplex is its nonempty
+    vertex subsets; a simplex whose subsets could take the closure past
+    ``MAX_SIMPLICIAL_CELLS`` cells is refused before they are listed.
     """
     if not spec:
         raise ComplexBuildError("empty simplex list")
-    simplices: set[tuple[int, ...]] = set()
     for s in spec:
-        vs = tuple(s)
-        if len(set(vs)) != len(vs):
+        if len(set(s)) != len(s):
             raise ComplexBuildError(f"simplex {list(s)} repeats a vertex")
-        simplices.add(tuple(sorted(vs)))
-    # close under subsets
-    stack = list(simplices)
-    while stack:
-        s = stack.pop()
-        if len(s) == 1:
-            continue
-        for k in range(len(s)):
-            f = s[:k] + s[k + 1 :]
-            if f not in simplices:
-                simplices.add(f)
-                stack.append(f)
-
-    labels = sorted({v for s in simplices for v in s})
-    vmap = {lab: i for i, lab in enumerate(labels)}
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
-    for s in simplices:
-        mapped = tuple(sorted(vmap[v] for v in s))
-        by_dim.setdefault(len(s) - 1, []).append(mapped)
-
-    ids: dict[tuple[int, ...], int] = {}
-    faces: list[tuple[int, ...]] = []
-    vertices: list[tuple[int, ...]] = []
-    starts = [0]
-    for d in range(max(by_dim) + 1):
-        for s in sorted(by_dim.get(d, [])):
-            ids[s] = len(faces)
-            faces.append(tuple(ids[s[:k] + s[k + 1 :]] for k in range(len(s))) if d else ())
-            vertices.append(s)
-        starts.append(len(faces))
-    return CellComplex(tuple(faces), tuple(vertices), tuple(starts), "simplicial")
+    vmap = {lab: i for i, lab in enumerate(sorted({v for s in spec for v in s}))}
+    cells: set[tuple[int, ...]] = set()
+    for s in spec:
+        vs = sorted(vmap[v] for v in s)
+        if len(cells) + 2 ** len(vs) - 1 > MAX_SIMPLICIAL_CELLS:
+            raise ComplexBuildError(
+                f"a simplex of {len(vs)} vertices would take the closure past the cap of "
+                f"{MAX_SIMPLICIAL_CELLS} cells"
+            )
+        for r in range(1, len(vs) + 1):
+            cells.update(combinations(vs, r))
+    order = sorted(cells, key=lambda s: (len(s), s))
+    ids = {s: i for i, s in enumerate(order)}
+    # Faces by removed index; starts[d] is the first cell of d + 1 vertices.
+    faces = tuple(tuple(ids[s[:k] + s[k + 1 :]] for k in range(len(s))) if len(s) > 1 else ()
+                  for s in order)
+    top = len(order[-1]) if order else 0
+    starts = [bisect_left(order, n, key=len) for n in range(1, top + 1)] + [len(order)]
+    return CellComplex(faces, tuple(order), tuple(starts), "simplicial")
 
 
 class ScalarField(ReadOnly):
@@ -278,12 +270,11 @@ def load_field(path: str | Path, cx: CellComplex) -> ScalarField:
                     vals[j * nx + i] = float(tok)
                 except ValueError:
                     raise InputFormatError(f"bad number {tok!r}", j + 1) from None
-        return make_field(cx, vals)
-    toks = text.split()
-    try:
-        vals = [float(t) for t in toks]
-    except ValueError as e:
-        raise InputFormatError(f"bad number in field file: {e}") from None
+    else:
+        try:
+            vals = [float(t) for t in text.split()]
+        except ValueError as e:
+            raise InputFormatError(f"bad number in field file: {e}") from None
     try:
         return make_field(cx, vals)
     except FieldError as e:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -337,6 +338,28 @@ def test_input_errors_exit_2(capsys, tmp_path):
         "--field", "expr:random:1",
     )
     assert "repeats a vertex" in error
+    # A simplex of 30 vertices closes to 2^30 - 1 cells: refused before they
+    # are listed, so this returns at once.
+    (tmp_path / "wide.txt").write_text(" ".join(map(str, range(30))) + "\n")
+    start = time.perf_counter()
+    error = bad_input(
+        capsys, "homology", "--complex", f"file:{tmp_path / 'wide.txt'}",
+        "--field", "expr:random:1",
+    )
+    assert time.perf_counter() - start < 1
+    assert "30 vertices" in error and str(4 * MAX_TORUS_VERTICES) in error
+    # Refused before any field is drawn.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "random_field", None)
+        error = bad_input(capsys, "compare", "--complex", "torus:3:3", "--trials", "10001")
+    assert "--trials" in error and "10000" in error and "10001" in error
+    # A non-finite value in a CSV grid is a format error, as in a plain file.
+    (tmp_path / "nan.csv").write_text("0,1,2\n3,nan,5\n6,7,8\n")
+    code, out, err = run_cli(
+        capsys, "homology", "--complex", "torus:3:3", "--field", str(tmp_path / "nan.csv")
+    )
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["kind"] == "InputFormatError"
     # --trials draws its own fields: explicit ones would be echoed but unused.
     for fields in (["--field-a", "expr:bump", "--field-b", "expr:bump"], ["--field-b", "a.csv"]):
         error = bad_input(capsys, "compare", "--complex", "torus:3:3", "--trials", "2", *fields)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -12,6 +13,7 @@ from conftest import (
     shifted,
     tetra_boundary,
 )
+from morsespec import complex as cplx
 from morsespec import (
     CellComplex,
     MorseComplex,
@@ -64,6 +66,49 @@ def test_simplicial_malformed():
         build_from_simplicial([[0, 1, 1]])
     with pytest.raises(ComplexBuildError):
         build_from_simplicial([])
+    # The only simplex is empty, so no cell is left and the offsets are refused.
+    with pytest.raises(ComplexBuildError, match="dimension offsets"):
+        build_from_simplicial([[]])
+
+
+def closure_specs():
+    """Seeded simplex lists: 1 to 10 vertices per simplex, sparse, negative
+    and huge labels in any order, and lines that share faces."""
+    fixed = [
+        [[7]],
+        [[3, 1], [1, 2], [2, 3]],
+        [[-5, 10**30, 0], [0, -5], [10**30, 0, -5]],
+        [[4, 2, 9, 1], [2, 9], [1], [6, 4]],
+    ]
+    rng = random.Random(23)
+    randoms = []
+    for _ in range(80):
+        pool = rng.sample(range(-40, 1000, rng.choice((1, 7, 61))), rng.randint(1, 12))
+        randoms.append([rng.sample(pool, rng.randint(1, min(10, len(pool))))
+                        for _ in range(rng.randint(1, 6))])
+    return fixed + randoms
+
+
+# Taken from the three-pass closure (an explicit face stack, a label remap and
+# a regroup by dimension) that the one-pass numbering of vertex subsets
+# replaced; the rewrite keeps every cell, face list and offset.
+CLOSURE_DIGEST = "869f9c5f285893b79cef200ec35157dd2c437d654d0ab067b8b06177b2bbda09"
+
+
+def test_simplicial_closure_is_pinned():
+    h = hashlib.sha256()
+    for spec in closure_specs():
+        cx = build_from_simplicial(spec)
+        h.update(repr((cx.faces, cx.vertices, cx.starts)).encode())
+    assert h.hexdigest() == CLOSURE_DIGEST
+
+
+def test_simplicial_closure_cap(monkeypatch):
+    # A triangle closes to 7 cells and a lone vertex adds 1.
+    monkeypatch.setattr(cplx, "MAX_SIMPLICIAL_CELLS", 7)
+    assert len(build_from_simplicial([[0, 1, 2]])) == 7
+    with pytest.raises(ComplexBuildError, match="simplex of 1 vertices .* cap of 7 cells"):
+        build_from_simplicial([[0, 1, 2], [3]])
 
 
 def test_ids_of_dim_partitions_the_cells(corpus):
