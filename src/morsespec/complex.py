@@ -47,7 +47,7 @@ class CellComplex(ReadOnly):
     ``"simplicial"`` otherwise.
     """
 
-    __slots__ = ("faces", "vertices", "starts", "descriptor", "_cofaces")
+    __slots__ = ("faces", "vertices", "starts", "descriptor")
 
     def __init__(self, faces: tuple[tuple[int, ...], ...],
                  vertices: tuple[tuple[int, ...], ...], starts: tuple[int, ...],
@@ -70,11 +70,6 @@ class CellComplex(ReadOnly):
                 c, f = next((c, f) for c in self.ids_of_dim(d) for f in faces[c]
                             if f not in below)
                 raise ComplexBuildError(f"cell {c} (dim {d}) lists face {f}, not in {below}")
-        cof: list[list[int]] = [[] for _ in range(n)]
-        for c, fs in enumerate(faces):
-            for f in fs:
-                cof[f].append(c)
-        object.__setattr__(self, "_cofaces", tuple(map(tuple, cof)))
 
     def __len__(self) -> int:
         return len(self.faces)
@@ -82,9 +77,6 @@ class CellComplex(ReadOnly):
     @property
     def top_dim(self) -> int:
         return len(self.starts) - 2
-
-    def cofaces(self, cell_id: int) -> tuple[int, ...]:
-        return self._cofaces[cell_id]
 
     def dim(self, cell_id: int) -> int:
         """Dimension of a cell, read off the offsets."""
@@ -153,17 +145,17 @@ def build_from_simplicial(spec: list[list[int]]) -> CellComplex:
     """
     if not spec:
         raise ComplexBuildError("empty simplex list")
-    for s in spec:
+    for i, s in enumerate(spec):
         if len(set(s)) != len(s):
-            raise ComplexBuildError(f"simplex {list(s)} repeats a vertex")
+            raise ComplexBuildError(f"simplex {list(s)} repeats a vertex", i)
     vmap = {lab: i for i, lab in enumerate(sorted({v for s in spec for v in s}))}
     cells: set[tuple[int, ...]] = set()
-    for s in spec:
+    for i, s in enumerate(spec):
         vs = sorted(vmap[v] for v in s)
         if len(cells) + 2 ** len(vs) - 1 > MAX_SIMPLICIAL_CELLS:
             raise ComplexBuildError(
                 f"a simplex of {len(vs)} vertices would take the closure past the cap of "
-                f"{MAX_SIMPLICIAL_CELLS} cells"
+                f"{MAX_SIMPLICIAL_CELLS} cells", i
             )
         for r in range(1, len(vs) + 1):
             cells.update(combinations(vs, r))
@@ -227,7 +219,7 @@ def c0_distance(f: ScalarField, g: ScalarField) -> float:
 
 def load_simplicial(path: str | Path) -> CellComplex:
     """Read maximal simplices, one per line, whitespace-separated vertex ids."""
-    spec = []
+    spec, linenos = [], []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -236,12 +228,14 @@ def load_simplicial(path: str | Path) -> CellComplex:
             spec.append([int(tok) for tok in line.split()])
         except ValueError:
             raise InputFormatError(f"bad vertex id in {line!r}", lineno) from None
+        linenos.append(lineno)
     if not spec:
         raise InputFormatError("no simplices in file")
     try:
         return build_from_simplicial(spec)
     except ComplexBuildError as e:
-        raise InputFormatError(str(e)) from e
+        line = None if e.simplex is None else linenos[e.simplex]
+        raise InputFormatError(str(e), line) from e
 
 
 def load_field(path: str | Path, cx: CellComplex) -> ScalarField:
@@ -257,19 +251,21 @@ def load_field(path: str | Path, cx: CellComplex) -> ScalarField:
         if shape is None:
             raise InputFormatError("CSV grid input requires a torus-grid complex")
         nx, ny = shape
-        rows = [r for r in csv.reader(text.splitlines()) if any(t.strip() for t in r)]
+        # Blank lines are skipped, and each row keeps its line in the file.
+        reader = csv.reader(text.splitlines())
+        rows = [(reader.line_num, r) for r in reader if any(t.strip() for t in r)]
         if len(rows) != ny:
             raise InputFormatError(f"expected {ny} CSV rows, got {len(rows)}")
         vals = [0.0] * (nx * ny)
-        for j, row in enumerate(rows):
+        for j, (lineno, row) in enumerate(rows):
             cells = [t for t in row if t.strip()]
             if len(cells) != nx:
-                raise InputFormatError(f"expected {nx} columns, got {len(cells)}", j + 1)
+                raise InputFormatError(f"expected {nx} columns, got {len(cells)}", lineno)
             for i, tok in enumerate(cells):
                 try:
                     vals[j * nx + i] = float(tok)
                 except ValueError:
-                    raise InputFormatError(f"bad number {tok!r}", j + 1) from None
+                    raise InputFormatError(f"bad number {tok!r}", lineno) from None
     else:
         try:
             vals = [float(t) for t in text.split()]

@@ -9,7 +9,12 @@ class MorsespecError(Exception):
 
 
 class ComplexBuildError(MorsespecError, ValueError):
-    """Invalid input to a complex builder (bad dimensions, malformed simplex)."""
+    """Invalid input to a complex builder (bad dimensions, malformed simplex);
+    carries the index of the offending simplex in a simplex list, if any."""
+
+    def __init__(self, message: str, simplex: int | None = None):
+        super().__init__(message)
+        self.simplex = simplex
 
 
 class FieldError(MorsespecError, ValueError):

@@ -21,6 +21,11 @@ MAX_FAMILY_STEPS = 10_000
 
 
 def random_field(cx: CellComplex, rng: random.Random) -> ScalarField:
+    if cx.n_vertices > 1 << _DENOM_BITS:
+        raise InputFormatError(
+            f"a random field takes one distinct value k / 2^{_DENOM_BITS} per vertex: "
+            f"{cx.n_vertices} vertices are more than 2^{_DENOM_BITS}"
+        )
     ks = rng.sample(range(1 << _DENOM_BITS), cx.n_vertices)
     return make_field(cx, [k / float(1 << _DENOM_BITS) for k in ks])
 

@@ -158,7 +158,7 @@ def build_gradient(fld: ScalarField) -> DiscreteGradient:
     """
     cx = fld.complex
     rank = vertex_rank(fld)
-    faces, vertices, cofaces = cx.faces, cx.vertices, cx.cofaces
+    faces, vertices = cx.faces, cx.vertices
     key: list = [None] * len(rank)
     for d in range(1, cx.top_dim + 1):
         key += [
@@ -180,7 +180,8 @@ def build_gradient(fld: ScalarField) -> DiscreteGradient:
             critical.add(v)
             continue
         # Members are in id order, and ids run dimension by dimension.
-        pq_zero = [key[e] for e in members[1 : bisect_left(members, edge_end, 1)]]
+        above = bisect_left(members, edge_end, 1)
+        pq_zero = [key[e] for e in members[1:above]]
         if not pq_zero:
             raise ComplexBuildError(
                 f"lower star of vertex {v} has no edge; cannot seed the matching"
@@ -190,11 +191,17 @@ def build_gradient(fld: ScalarField) -> DiscreteGradient:
         pair_up[v] = first
         unpaired = set(members[1:])
         unpaired.discard(first)
+        # The only cofaces that can be unpaired are the star's own cells
+        # above dimension 1: one pass over their faces lists them all.
+        cofaces: dict[int, list[int]] = {}
+        for co in members[above:]:
+            for f in faces[co]:
+                cofaces.setdefault(f, []).append(co)
         pq_one: list = []
         fresh: tuple[int, ...] = (first,)  # cells just paired or made critical
         while fresh:
             for c in fresh:
-                for co in cofaces(c):
+                for co in cofaces.get(c, ()):
                     if co in unpaired and len(unpaired.intersection(faces[co])) == 1:
                         heappush(pq_one, key[co])
             fresh = ()

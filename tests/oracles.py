@@ -222,12 +222,16 @@ def reference_gradient(cx, fld, tie_break: str = "id") -> DiscreteGradient:
     stars: list[list[int]] = [[] for _ in rank]
     for c, k in enumerate(key):
         stars[k[0][0]].append(c)
+    cofaces: list[list[int]] = [[] for _ in key]
+    for c, fs in enumerate(faces):
+        for f in fs:
+            cofaces[f].append(c)
 
     pair_up: dict[int, int] = {}
     critical: set[int] = set()
 
     def push_candidates(cid: int) -> None:
-        for co in cx.cofaces(cid):
+        for co in cofaces[cid]:
             if co in unpaired and len(unpaired.intersection(faces[co])) == 1:
                 heapq.heappush(pq_one, (key[co], co))
 

@@ -338,16 +338,27 @@ def test_input_errors_exit_2(capsys, tmp_path):
         "--field", "expr:random:1",
     )
     assert "repeats a vertex" in error
+    # A simplex the builder refuses is reported at its line in the file.
+    (tmp_path / "repeat3.txt").write_text("0 1 2\n3 4\n5 5\n")
+    code, out, err = run_cli(
+        capsys, "homology", "--complex", f"file:{tmp_path / 'repeat3.txt'}",
+        "--field", "expr:random:1",
+    )
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["line"] == 3 and "[5, 5] repeats a vertex" in err
     # A simplex of 30 vertices closes to 2^30 - 1 cells: refused before they
     # are listed, so this returns at once.
     (tmp_path / "wide.txt").write_text(" ".join(map(str, range(30))) + "\n")
     start = time.perf_counter()
-    error = bad_input(
+    code, out, err = run_cli(
         capsys, "homology", "--complex", f"file:{tmp_path / 'wide.txt'}",
         "--field", "expr:random:1",
     )
     assert time.perf_counter() - start < 1
-    assert "30 vertices" in error and str(4 * MAX_TORUS_VERTICES) in error
+    assert code == 2 and out == "" and err.count("\n") == 1
+    diag = json.loads(err)
+    assert "30 vertices" in diag["error"] and str(4 * MAX_TORUS_VERTICES) in diag["error"]
+    assert diag["line"] == 1
     # Refused before any field is drawn.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "random_field", None)
@@ -360,6 +371,24 @@ def test_input_errors_exit_2(capsys, tmp_path):
     )
     assert code == 2 and out == "" and err.count("\n") == 1
     assert json.loads(err)["kind"] == "InputFormatError"
+    # CSV rows are numbered by their line in the file, blank lines included.
+    (tmp_path / "blank.csv").write_text("0.1,0.2,0.3\n\n\n0.4,0.5,x\n0.7,0.8,0.9\n")
+    code, out, err = run_cli(
+        capsys, "homology", "--complex", "torus:3:3", "--field", str(tmp_path / "blank.csv")
+    )
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["line"] == 4 and "'x'" in err
+    # A random field has 2^_DENOM_BITS distinct values: more vertices are bad
+    # input, refused before any value is drawn.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("morsespec.fields._DENOM_BITS", 3)
+        code, out, err = run_cli(
+            capsys, "homology", "--complex", "torus:3:3", "--field", "expr:random:1"
+        )
+    assert code == 2 and out == "" and err.count("\n") == 1
+    diag = json.loads(err)
+    assert diag["kind"] == "InputFormatError" and "9 vertices" in diag["error"]
+    assert "2^3" in diag["error"]
     # --trials draws its own fields: explicit ones would be echoed but unused.
     for fields in (["--field-a", "expr:bump", "--field-b", "expr:bump"], ["--field-b", "a.csv"]):
         error = bad_input(capsys, "compare", "--complex", "torus:3:3", "--trials", "2", *fields)

@@ -163,16 +163,6 @@ def test_face_ids_outside_the_dimension_below_are_refused(faces, expect):
         CellComplex(faces, vertices, (0, 2, len(faces)), "simplicial")
 
 
-def test_cofaces_are_derived_from_faces(corpus):
-    for cx, _ in corpus + [(cubical_3torus(3, 3, 3), None)]:
-        cells = range(len(cx))
-        for c in cells:
-            assert cx.cofaces(c) == tuple(k for k in cells if c in cx.faces[k])
-    cx = cycle_graph(3)
-    with pytest.raises(TypeError):
-        CellComplex(cx.faces, cx.vertices, cx.starts, "simplicial", _cofaces=((),) * len(cx))
-
-
 def test_corpus_invariants(corpus):
     for cx, fld in corpus:
         oracles.validate_complex(cx)

@@ -11,6 +11,7 @@ tie-breaks; any change to the matching changes the digest.
 
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -172,3 +173,45 @@ def test_gradient_equals_reference_on_the_3_torus():
     for _, fld in gradient_fields(cx, rng):
         for tie_break in TIE_BREAKS:
             assert_same_matching(cx, fld, tie_break)
+
+
+def fan(n):
+    """Apex 0 joined to the path 1, 2, ..., n + 1: n triangles round one vertex."""
+    return build_from_simplicial([[0, i, i + 1] for i in range(1, n + 1)])
+
+
+def book(n):
+    """n triangles on the one edge {0, 1}."""
+    return build_from_simplicial([[0, 1, i] for i in range(2, n + 2)])
+
+
+def lifted(fld, top):
+    """``fld`` with the vertices ``top`` tied above every other value, so one
+    lower star holds every cell that touches them."""
+    vals, high = list(fld.vertex_values), max(fld.vertex_values) + 1
+    for v in top:
+        vals[v] = high
+    return make_field(fld.complex, vals)
+
+
+@pytest.mark.parametrize("shape", ["fan", "book"])
+def test_gradient_equals_reference_on_one_wide_lower_star(shape):
+    # Lifted, the apex's star holds all 300 triangles of the fan, and the
+    # spine's star all 298 triangles on the book's one edge.
+    cx, top = (fan(300), [0]) if shape == "fan" else (book(298), [0, 1])
+    rng = random.Random(shape)
+    for _, fld in gradient_fields(cx, rng):
+        for f in (fld, lifted(fld, top)):
+            for tie_break in TIE_BREAKS:
+                assert_same_matching(cx, f, tie_break)
+
+
+def test_one_lower_star_of_20000_triangles_is_matched_in_one_pass():
+    # Scanning the star once per fresh cell would take minutes here.
+    cx = fan(20_000)
+    fld = lifted(make_field(cx, [0.0] * cx.n_vertices), [0])
+    start = time.perf_counter()
+    g = build_gradient(fld)
+    assert time.perf_counter() - start < 5
+    # The fan is a disk: the critical cells count its Euler characteristic.
+    assert sum((-1) ** cx.dim(c) for c in g.critical) == 1

@@ -14,8 +14,7 @@ and no ``__pycache__`` every run compiles the package from source;
 times, on torus grids of 32², 64², 128², 256² and 512² vertices, the stages
 that do not depend on the field once per size (group ``full complex``):
 
-* ``build_torus_grid``: the complex itself, face and vertex tuples and the
-  coface table;
+* ``build_torus_grid``: the complex itself, its face and vertex tuples;
 * ``selectors``: ``homology.homology_basis`` of the full complex, which names
   the classes of ``--class all`` / ``grade:K:index:I``; each boundary matrix
   goes through ``gf2.reduce_columns``, which takes union-find on a surface;
