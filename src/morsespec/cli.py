@@ -29,6 +29,8 @@ import os
 import random
 import re
 import sys
+from itertools import chain
+from math import isfinite
 from pathlib import Path
 
 from . import bounds as bnd
@@ -108,9 +110,56 @@ def _overflow(command: str, inputs: dict) -> MorsespecError:
     return MorsespecError(f"{command} overflows binary64 at {given}")
 
 
+def _scalar(o) -> str:
+    """One JSON scalar by ``json``'s rules; nan and ±inf raise ValueError."""
+    if isinstance(o, str):
+        return json.encoder.encode_basestring_ascii(o)
+    if o is None or o is True or o is False:
+        return {None: "null", True: "true", False: "false"}[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float) and not isfinite(o):
+        raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+    return float.__repr__(o)
+
+
+def _same_keyed(rows: list) -> bool:
+    """Whether dicts share their str keys, in order, and hold finite ints and floats."""
+    values = list(chain.from_iterable(map(dict.values, rows)))
+    return (len(set(map(tuple, rows))) == 1 and set(map(type, rows[0])) == {str}
+            and set(map(type, values)) <= {int, float}
+            and all(map(isfinite, filter(float.__instancecheck__, values))))
+
+
+def _encode(o, pad: str = "\n") -> str:
+    """``json.dumps(o, indent=2, allow_nan=False)`` of a value on a line opened by
+    ``pad``.  That encoder runs in pure Python whenever ``indent`` is set; here int
+    lists, lists of int lists and same-keyed number dicts are joined in C."""
+    if not isinstance(o, (dict, list, tuple)):
+        return _scalar(o)
+    brackets = "{}" if isinstance(o, dict) else "[]"
+    if not o:
+        return brackets
+    inner, deep = pad + "  ", pad + "    "
+    if isinstance(o, dict):
+        body = [(_scalar(k) if isinstance(k, str) else f'"{_scalar(k)}"') + ": "
+                + _encode(v, inner) for k, v in o.items()]
+    elif (kinds := set(map(type, o))) == {int}:
+        body = map(int.__repr__, o)
+    elif kinds <= {list, tuple} and set(map(type, chain.from_iterable(o))) <= {int}:
+        cut = "," + deep
+        body = [f"[{deep}{cut.join(map(int.__repr__, c))}{inner}]" if c else "[]" for c in o]
+    elif kinds == {dict} and _same_keyed(o):
+        fields = ("," + deep).join(_scalar(k).replace("%", "%%") + ": %r" for k in o[0])
+        body = map(("{" + deep + fields + inner + "}").__mod__, map(tuple, map(dict.values, o)))
+    else:
+        body = [_encode(x, inner) for x in o]
+    return brackets[0] + inner + ("," + inner).join(body) + pad + brackets[1]
+
+
 def _emit(report: dict, json_path: str | None) -> None:
     try:
-        text = json.dumps(report, indent=2, allow_nan=False)
+        text = _encode(report)
     except ValueError:
         # The one overflow route: a result that left binary64 is inf or nan,
         # which the encoder refuses.

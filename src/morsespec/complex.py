@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left, bisect_right
-from itertools import chain, combinations, pairwise
+from itertools import chain, combinations, pairwise, repeat
 from pathlib import Path
 
 from .errors import (
@@ -200,8 +200,9 @@ def make_field(cx: CellComplex, values) -> ScalarField:
     for i, v in enumerate(vals):
         if not math.isfinite(v):
             raise FieldError(f"non-finite value {v!r} at vertex {i}")
-    cell_values = tuple([max(map(vals.__getitem__, vs)) for vs in cx.vertices])
-    return ScalarField(cx, tuple(vals), cell_values)
+    vertex_values = tuple(vals)  # vertex c is cell c; other cells take their vertices' max
+    extension = map(max, map(map, repeat(vals.__getitem__), cx.vertices[len(vals):]))
+    return ScalarField(cx, vertex_values, vertex_values + tuple(extension))
 
 
 def c0_distance(f: ScalarField, g: ScalarField) -> float:
@@ -270,7 +271,12 @@ def load_field(path: str | Path, cx: CellComplex) -> ScalarField:
         try:
             vals = [float(t) for t in text.split()]
         except ValueError as e:
-            raise InputFormatError(f"bad number in field file: {e}") from None
+            # Only a bad file pays for finding its line, counted as CSV rows are.
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                try:
+                    list(map(float, line.split()))
+                except ValueError:
+                    raise InputFormatError(f"bad number in field file: {e}", lineno) from None
     try:
         return make_field(cx, vals)
     except FieldError as e:

@@ -378,6 +378,16 @@ def test_input_errors_exit_2(capsys, tmp_path):
     )
     assert code == 2 and out == "" and err.count("\n") == 1
     assert json.loads(err)["line"] == 4 and "'x'" in err
+    # So are the lines of a plain (whitespace) field file.
+    for text, line in (("0.1 0.2 0.3\n0.4 0.5 0.6\n0.7 0.8 x\n", 3),
+                       ("0.1 0.2\n\n0.3 y 0.4\n0.5 0.6 0.7 0.8 0.9\n", 3)):
+        (tmp_path / "bad.txt").write_text(text)
+        code, out, err = run_cli(
+            capsys, "homology", "--complex", "torus:3:3", "--field", str(tmp_path / "bad.txt")
+        )
+        assert code == 2 and out == "" and err.count("\n") == 1
+        diag = json.loads(err)
+        assert diag["kind"] == "InputFormatError" and diag["line"] == line, diag
     # A random field has 2^_DENOM_BITS distinct values: more vertices are bad
     # input, refused before any value is drawn.
     with pytest.MonkeyPatch.context() as mp:
@@ -701,12 +711,18 @@ def test_readme_commands(capsys, tmp_path, monkeypatch):
 
 # sha256 of stdout (without its final newline) of the benchmark's command
 # shapes at their sizes: the small-batch compare and the morse-dense homology
-# at 96x96, taken before the lower-star kernel's heap entries became its keys.
+# at 96x96, taken before the lower-star kernel's heap entries became its keys,
+# and the classes-smooth spectral and compare at 96x96, taken while ``_emit``
+# still called ``json.dumps``.
 BENCHMARK_SHAPE_DIGESTS = {
     "compare --complex torus:16:16 --trials 50 --seed 1 --class all":
         "d4810851a51a7064f2578726a559c54000f7648b2ac2d05f1350acbd4ed3045e",
     "homology --complex torus:96:96 --field expr:random:1":
         "dac3c87aa8866ee1d5ded821e581e5ba11ad9b68c55d1c07df89fbf0fd1652f7",
+    "spectral --complex torus:96:96 --field expr:bump --class all":
+        "4a04f5cd1ef46551c6de54c85583bc64d5fee47df2eefd5b383e7bed338e42c1",
+    "compare --complex torus:96:96 --field-a expr:bump --field-b expr:twobump --class all":
+        "63fcce7746a9bb23eca1690bd61e51c56b3b2747a02c438f8c1fb9d94128ad67",
 }
 
 

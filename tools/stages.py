@@ -11,7 +11,8 @@ It imports morsespec from the ``src/`` next to this file.  First it times
 import adds to every command's start-up.  With ``PYTHONDONTWRITEBYTECODE=1``
 and no ``__pycache__`` every run compiles the package from source;
 ``bytecode_cache`` records whether a cache was there to read.  Then it
-times, on torus grids of 32², 64², 128², 256² and 512² vertices, the stages
+times, on torus grids of 32², 64², 96², 128², 256² and 512² vertices (96² is
+the benchmark's morse-dense size), the stages
 that do not depend on the field once per size (group ``full complex``):
 
 * ``build_torus_grid``: the complex itself, its face and vertex tuples;
@@ -37,8 +38,10 @@ and under each of ``expr:random:1`` and ``expr:bump``:
   selector class, which reduce against the bitmask echelon of
   ``MorseComplex.boundary_echelon``, built once per grade;
 * ``expand`` of every class of the Morse homology basis;
-* ``json_emit``: ``json.dumps(indent=2)`` of the ``homology`` report of that
-  complex and field, as the CLI emits it (its length is the
+* ``json_emit``: ``cli._emit`` of the ``homology`` report of that complex
+  and field with stdout caught in memory, so it times the encoder the CLI
+  calls.  Once, untimed, before the timed runs, its text is checked to equal
+  ``json.dumps(report, indent=2, allow_nan=False)`` (whose length is the
   ``report_bytes`` counter).
 
 Every stage runs with the cyclic garbage collector off, as the CLI runs its
@@ -70,7 +73,9 @@ survive a new run.
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import json
 import os
 import platform
@@ -87,13 +92,13 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import morsespec.homology as fullh  # noqa: E402
 from morsespec import (  # noqa: E402
-    build_torus_grid, gf2, homology_basis, make_field, verify_d_squared,
+    build_torus_grid, cli, gf2, homology_basis, make_field, verify_d_squared,
 )
 from morsespec.fields import expression_field  # noqa: E402
 from morsespec.morse import build_gradient, build_morse_complex  # noqa: E402
 from morsespec.spectral import project_class, spectral_value  # noqa: E402
 
-SIZES = (32, 64, 128, 256, 512)
+SIZES = (32, 64, 96, 128, 256, 512)
 FIELDS = ("random:1", "bump")
 FULL = "full complex"
 STAGES = {
@@ -168,6 +173,14 @@ def cli_import() -> dict:
     }
 
 
+def emitted(report: dict) -> str:
+    """What ``cli._emit`` prints for ``report``, caught in memory."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(report, None)
+    return out.getvalue()
+
+
 def measure(cx, name: str, selectors: list) -> tuple[dict, dict]:
     sec = {}
     sec["expression_field"], fld = timed(lambda: expression_field(cx, name))
@@ -197,7 +210,10 @@ def measure(cx, name: str, selectors: list) -> tuple[dict, dict]:
         "pass_counts": {"passed": 1, "failed": 0},
         "seed": 0,
     }
-    sec["json_emit"], text = timed(lambda: json.dumps(report, indent=2, allow_nan=False))
+    text = json.dumps(report, indent=2, allow_nan=False)
+    if emitted(report) != text + "\n":
+        raise RuntimeError("cli._emit does not print what json.dumps(indent=2) gives")
+    sec["json_emit"], _ = timed(lambda: emitted(report))
     counters = {
         "cells": len(cx),
         "critical": len(g.critical),
