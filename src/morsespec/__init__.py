@@ -42,7 +42,6 @@ from .morse import (
 from .spectral import (
     SpectralReport,
     SweepReport,
-    chain_action,
     rho,
     spectral_value,
     spectrum,
@@ -68,7 +67,6 @@ __all__ = [
     "build_morse_complex",
     "build_torus_grid",
     "c0_distance",
-    "chain_action",
     "chained_bound",
     "continuation_map",
     "corollary_bound",

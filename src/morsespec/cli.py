@@ -25,11 +25,12 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import marshal
 import os
 import random
 import re
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from math import isfinite
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from . import morse, spectral
 from .complex import CellComplex, build_torus_grid, load_field, load_simplicial
 from .continuation import sandwich_built
 from .errors import MorsespecError
-from .fields import expression_field, family, random_field
+from .fields import expression_field, family, random_field, random_numerators
 from .homology import HomologyClass
 
 
@@ -249,6 +250,50 @@ def _compare_one(cx, fa, fb, classes) -> list[dict]:
     return results
 
 
+def _trials(cx, classes, seed: int, mine: range):
+    """Entries of the trials in ``mine``; the fields of the others before it are only drawn."""
+    rng = random.Random(seed)
+    for t in range(mine.stop):
+        if t in mine:
+            yield _compare_one(cx, random_field(cx, rng), random_field(cx, rng), classes)
+        else:
+            random_numerators(cx, rng), random_numerators(cx, rng)
+
+
+def _fork_trials(cx, classes, seed: int, trials: int):
+    """Every trial's entries in trial order.  Process i of n, one per CPU this one may run on,
+    runs trials t = i mod n; this one is process 0.  The CLI starts no thread: fork is safe."""
+    n = min(len(os.sched_getaffinity(0)), trials) if hasattr(os, "sched_getaffinity") else 1
+    readers, pids = [], []
+    try:
+        for i in range(1, n):
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            pids.append(os.fork())
+            if pids[-1] == 0:  # a worker: it exits at its end, an error or a write nobody reads
+                try:
+                    out = open(w, "wb", buffering=0)
+                    for f in readers:
+                        f.close()
+                    for entries in _trials(cx, classes, seed, range(i, trials, n)):
+                        marshal.dump(entries, out)
+                finally:
+                    os._exit(0)
+            os.close(w)
+        sources = [_trials(cx, classes, seed, range(0, trials, n))]
+        sources += [map(marshal.load, repeat(f)) for f in readers]
+        for t in range(trials):
+            try:
+                yield from next(sources[t % n])
+            except EOFError:  # its worker stopped: run the rest here, so errors are serial
+                sources[t % n] = _trials(cx, classes, seed, range(t, trials, n))
+                yield from next(sources[t % n])
+    finally:
+        for f, pid in zip(readers, pids):
+            f.close()
+            os.waitpid(pid, 0)
+
+
 def _cmd_compare(args) -> int:
     if not 0 <= args.trials <= MAX_TRIALS:
         raise MorsespecError(f"--trials must be in 0..{MAX_TRIALS}, got {args.trials}")
@@ -257,14 +302,12 @@ def _cmd_compare(args) -> int:
     cx = _parse_complex(args.complex)
     classes = _resolve_classes(cx, args.cls)
     if args.trials > 0:
-        rng = random.Random(args.seed)
-        # A generator: only one field pair is alive at a time.
-        pairs = ((random_field(cx, rng), random_field(cx, rng)) for _ in range(args.trials))
+        results = list(_fork_trials(cx, classes, args.seed, args.trials))
     elif args.field_a and args.field_b:
-        pairs = [(_parse_field(args.field_a, cx), _parse_field(args.field_b, cx))]
+        fa, fb = _parse_field(args.field_a, cx), _parse_field(args.field_b, cx)
+        results = _compare_one(cx, fa, fb, classes)
     else:
         raise MorsespecError("compare needs --field-a and --field-b, or --trials")
-    results = [entry for fa, fb in pairs for entry in _compare_one(cx, fa, fb, classes)]
     passed = sum(entry["pass"] for entry in results)
     inputs = _echo(args, "complex", "field_a", "field_b", "class", "trials")
     return _finish(args, inputs, results, passed, len(results) - passed)

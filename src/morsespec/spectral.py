@@ -15,7 +15,7 @@ echelon and the cancellation are ``MorseComplex.boundary_echelon`` and
 
 from __future__ import annotations
 
-from .complex import CellComplex, ScalarField, c0_distance
+from .complex import CellComplex, c0_distance
 from .errors import ChainError, ComplexMismatchError, ReadOnly
 from .homology import HomologyClass, is_cycle as full_is_cycle
 from .morse import MorseComplex, check_one_complex
@@ -41,14 +41,6 @@ class SpectralReport(ReadOnly):
             "grade": self.grade,
             "witness_support": sorted(self.witness),
         }
-
-
-def chain_action(fld: ScalarField, chain) -> float:
-    """Largest cell value over the support of a nonzero chain."""
-    support = frozenset(chain)
-    if not support:
-        raise ChainError("action of the zero chain is undefined")
-    return max(fld.cell_values[c] for c in support)
 
 
 def spectrum(mc: MorseComplex) -> list[float]:

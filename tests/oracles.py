@@ -23,8 +23,9 @@ complex, as a fast route to hold the reference against.  ``empty_gradient``
 is a third matching that shares no code with the lower-star builder: it
 leaves every cell critical, so its Morse complex is the full complex.
 
-``exhaustive_spectral_value`` is the brute-force minimum action over a
-class's coset, the small-size reference for the echelon greedy of
+``exhaustive_spectral_value`` is the brute-force minimum ``chain_action``
+(the largest cell value in a chain's support) over a class's coset, the
+small-size reference for the echelon greedy of
 ``morsespec.spectral.spectral_value``.
 
 The predicates check what the package computes and compute nothing it needs:
@@ -308,6 +309,14 @@ def mirror_gradient(fld) -> DiscreteGradient:
 def empty_gradient(fld) -> DiscreteGradient:
     """The empty matching of ``fld``: every cell critical, no V-path."""
     return DiscreteGradient(fld, {}, frozenset(range(len(fld.complex))))
+
+
+def chain_action(fld, chain) -> float:
+    """Largest cell value over the support of a nonzero chain."""
+    support = frozenset(chain)
+    if not support:
+        raise ChainError("action of the zero chain is undefined")
+    return max(fld.cell_values[c] for c in support)
 
 
 def exhaustive_spectral_value(mc, X, max_generators: int = 20) -> float:

@@ -2,16 +2,20 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
 from morsespec import cli, morse
 from morsespec.cli import MAX_ORACLE_CELLS, MAX_TORUS_VERTICES, main
-from morsespec.fields import MAX_FAMILY_STEPS
+from morsespec.complex import build_torus_grid
+from morsespec.errors import InputFormatError
+from morsespec.fields import MAX_FAMILY_STEPS, random_field
 
 
 def run_cli(capsys, *argv):
@@ -610,12 +614,14 @@ def test_closed_stdout_exits_141_quietly():
     assert err == b""
 
 
-def test_one_gradient_build_per_field(capsys, monkeypatch):
+def test_one_gradient_build_per_field(capsys, monkeypatch, tmp_path):
     real = morse.build_gradient
-    calls = []
+    counter = tmp_path / "builds"
 
     def counting(*args, **kwargs):
-        calls.append(args[0])
+        # One byte appended per build, so the builds of trial workers count.
+        with open(counter, "ab") as fh:
+            fh.write(b".")
         return real(*args, **kwargs)
 
     # Replace every reference, so no module can build around the count.
@@ -626,10 +632,12 @@ def test_one_gradient_build_per_field(capsys, monkeypatch):
                     monkeypatch.setattr(mod, attr, counting)
 
     def builds(*argv):
-        calls.clear()
+        counter.write_bytes(b"")
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
-        return len(calls)
+        return len(counter.read_bytes())
+
+    cpus(monkeypatch, 3)
 
     assert builds(
         "spectral", "--complex", "torus:6:6", "--field", "expr:random:1", "--class", "all"
@@ -643,6 +651,87 @@ def test_one_gradient_build_per_field(capsys, monkeypatch):
         "sweep", "--complex", "torus:6:6", "--field", "expr:random:1",
         "--family", "translate:4", "--class", "all",
     ) == 4
+
+
+def cpus(monkeypatch, n: int) -> None:
+    """Let ``compare --trials`` see n CPUs, so it runs n processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("command", [
+    "compare --complex torus:6:6 --trials 7 --seed 3 --class all",
+    "compare --complex torus:6:6 --trials 2 --seed 3 --class all",
+    "compare --complex torus:5:4 --trials 5 --seed 8 --class point",
+])
+def test_trials_report_does_not_depend_on_worker_count(capsys, monkeypatch, command):
+    outs = []
+    with warnings.catch_warnings(record=True) as caught:
+        # Python 3.12 and later warn when a process with threads forks.
+        warnings.simplefilter("always")
+        for n in (1, 2, 3):
+            cpus(monkeypatch, n)
+            code, out, err = run_cli(capsys, *command.split())
+            assert code == 0 and err == ""
+            assert no_child_left()
+            outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
+
+
+@pytest.mark.parametrize("failing", [(1, 2), (0, 4)])
+def test_worker_error_is_the_serial_error(capsys, monkeypatch, failing):
+    # The trials at the failing indices raise, whichever process runs them;
+    # the first in trial order is reported, as the serial route reports it.
+    rng, grid = random.Random(4), build_torus_grid(6, 6)
+    firsts = [random_field(grid, rng).vertex_values for _ in range(12)][::2]
+    real = cli._compare_one
+
+    def compare_one(cx, fa, fb, classes):
+        t = firsts.index(fa.vertex_values)
+        if t in failing:
+            raise InputFormatError(f"trial {t} fails", line=t)
+        return real(cx, fa, fb, classes)
+
+    monkeypatch.setattr(cli, "_compare_one", compare_one)
+    errs = []
+    for n in (1, 2, 3):
+        cpus(monkeypatch, n)
+        code, out, err = run_cli(capsys, *"compare --complex torus:6:6 --trials 6 --seed 4".split())
+        assert code == 2 and out == ""
+        assert no_child_left()
+        errs.append(err)
+    assert errs[0] == errs[1] == errs[2]
+    assert json.loads(errs[0]) == {"error": f"line {failing[0]}: trial {failing[0]} fails",
+                                   "kind": "InputFormatError", "line": failing[0]}
+
+
+def test_stopped_worker_leaves_its_trials_to_the_parent(capsys, monkeypatch):
+    # Workers vanish after two trials, as if killed: the parent runs the rest.
+    parent, real, done = os.getpid(), cli._compare_one, []
+
+    def compare_one(*args):
+        if os.getpid() != parent and len(done) == 2:
+            os._exit(0)
+        done.append(None)
+        return real(*args)
+
+    outs = []
+    for n in (1, 3):
+        cpus(monkeypatch, n)
+        monkeypatch.setattr(cli, "_compare_one", real if n == 1 else compare_one)
+        code, out, _ = run_cli(capsys, *"compare --complex torus:5:5 --trials 11 --seed 2".split())
+        assert code == 0 and no_child_left()
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert len(done) == 11 - 2 * 2
 
 
 README_INPUTS = {

@@ -214,3 +214,23 @@ def test_source_class_must_belong_to_the_source_complex():
         for Y in full:
             with pytest.raises(ChainError):
                 run(mca, mcc, Y)
+
+
+def test_sandwich_checks_its_class_once(monkeypatch):
+    # The source class is checked by spectral_value alone, and the image once
+    # as the target's class: two checks per sandwich, one per Morse complex.
+    rng = random.Random(51)
+    cx = build_torus_grid(6, 6)
+    mca, mcb = (MorseComplex.from_field(dyadic_field(cx, rng)) for _ in range(2))
+    real, checked = MorseComplex.class_positions, []
+
+    def counting(self, X):
+        checked.append(self)
+        return real(self, X)
+
+    monkeypatch.setattr(MorseComplex, "class_positions", counting)
+    for X in (X for classes in homology_basis(mca).values() for X in classes):
+        checked.clear()
+        rep = sandwich_built(mca, mcb, X)
+        assert checked == [mca, mcb]
+        assert rep.passed

@@ -48,7 +48,8 @@ def test_all_names_resolve():
 def test_test_only_names_are_not_exported():
     # The predicates and reference routes only tests call live in tests/oracles.py.
     removed = ("functoriality_check", "roundtrip_check", "lipschitz_check",
-               "LipschitzReport", "same_class", "spectral_gap", "exhaustive_spectral_value")
+               "LipschitzReport", "same_class", "spectral_gap", "exhaustive_spectral_value",
+               "chain_action")
     assert [name for name in removed if hasattr(morsespec, name)] == []
 
 

