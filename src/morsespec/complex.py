@@ -192,14 +192,14 @@ def make_field(cx: CellComplex, values) -> ScalarField:
 
     ``values`` gives one finite real per 0-cell, in id order.
     """
-    vals = [float(v) for v in values]
+    vals = list(map(float, values))
     if len(vals) != cx.n_vertices:
         raise FieldError(
             f"expected {cx.n_vertices} vertex values, got {len(vals)}"
         )
-    for i, v in enumerate(vals):
-        if not math.isfinite(v):
-            raise FieldError(f"non-finite value {v!r} at vertex {i}")
+    if not all(map(math.isfinite, vals)):  # only a bad field pays for finding its vertex
+        i = next(i for i, v in enumerate(vals) if not math.isfinite(v))
+        raise FieldError(f"non-finite value {vals[i]!r} at vertex {i}")
     vertex_values = tuple(vals)  # vertex c is cell c; other cells take their vertices' max
     extension = map(max, map(map, repeat(vals.__getitem__), cx.vertices[len(vals):]))
     return ScalarField(cx, vertex_values, vertex_values + tuple(extension))
@@ -219,9 +219,10 @@ def c0_distance(f: ScalarField, g: ScalarField) -> float:
 
 
 def load_simplicial(path: str | Path) -> CellComplex:
-    """Read maximal simplices, one per line, whitespace-separated vertex ids."""
+    """Read maximal simplices, one per line, whitespace-separated vertex ids.
+    Here and in ``load_field`` lines end at "\\n" only, not where ``splitlines`` would."""
     spec, linenos = [], []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text().split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -253,26 +254,29 @@ def load_field(path: str | Path, cx: CellComplex) -> ScalarField:
             raise InputFormatError("CSV grid input requires a torus-grid complex")
         nx, ny = shape
         # Blank lines are skipped, and each row keeps its line in the file.
-        reader = csv.reader(text.splitlines())
+        reader = csv.reader(text.split("\n"))
         rows = [(reader.line_num, r) for r in reader if any(t.strip() for t in r)]
         if len(rows) != ny:
             raise InputFormatError(f"expected {ny} CSV rows, got {len(rows)}")
-        vals = [0.0] * (nx * ny)
-        for j, (lineno, row) in enumerate(rows):
+        vals = []
+        for lineno, row in rows:
             cells = [t for t in row if t.strip()]
             if len(cells) != nx:
                 raise InputFormatError(f"expected {nx} columns, got {len(cells)}", lineno)
-            for i, tok in enumerate(cells):
-                try:
-                    vals[j * nx + i] = float(tok)
-                except ValueError:
-                    raise InputFormatError(f"bad number {tok!r}", lineno) from None
+            try:
+                vals += map(float, cells)
+            except ValueError:  # only a bad row pays for finding its token
+                for tok in cells:
+                    try:
+                        float(tok)
+                    except ValueError:
+                        raise InputFormatError(f"bad number {tok!r}", lineno) from None
     else:
         try:
             vals = [float(t) for t in text.split()]
         except ValueError as e:
             # Only a bad file pays for finding its line, counted as CSV rows are.
-            for lineno, line in enumerate(text.splitlines(), start=1):
+            for lineno, line in enumerate(text.split("\n"), start=1):
                 try:
                     list(map(float, line.split()))
                 except ValueError:

@@ -3,9 +3,10 @@
 The gradient is an acyclic matching of cells with cofaces built greedily
 inside each lower star (the cells whose order-maximal vertex is a given
 vertex).  Unmatched cells are critical.  The boundary operator of the Morse
-complex counts alternating paths along the matching mod 2: it is the flow of
-each critical cell's boundary, one topological walk of the V-paths (q -> the
-other faces of q's coface) per chain, never an enumeration of paths.
+complex counts alternating paths along the matching mod 2, never one by one:
+a vertex has one V-path, to its root, so an edge's column is its ends' roots;
+above grade 1 a column is the flow of the cell's boundary, one topological
+walk of the V-paths (q -> the other faces of q's coface).
 
 Two linear maps connect the Morse complex with the full complex, both on that
 walk, which decides each matched lower cell once, upstream first:
@@ -147,14 +148,16 @@ def build_gradient(fld: ScalarField) -> DiscreteGradient:
     Each cell above dimension 0 has one key: its vertices' ``vertex_rank`` in
     descending order, then its dimension, then its id.  The first rank names
     the cell's lower star, the star of its order-maximal vertex.  A vertex
-    needs no key: it seeds its own star, taken in rank order.  The keys
-    themselves are the heap entries, and a popped key gives its cell back as
-    ``key[2]``.  Within one star the matching is built coreduction style: a
-    cell is matched to a coface as soon as it is that coface's only unpaired
-    face, smallest keys first; when nothing is matchable the smallest
-    remaining cell is declared critical.
+    needs no key: it seeds its own star.  The keys themselves are the heap
+    entries, and a popped key gives its cell back as ``key[2]``.  Within one
+    star the matching is built coreduction style: a cell is matched to a
+    coface as soon as it is that coface's only unpaired face, smallest keys
+    first; when nothing is matchable the smallest remaining cell is declared
+    critical.
     Pairings of this kind can never close a V-path, and paths between stars
-    only descend, so the matching is acyclic by construction.
+    only descend, so the matching is acyclic by construction.  Stars are
+    matched independently and walked in vertex-id order, which keeps the walk
+    in nearby memory: a star's cells have ids near its vertex.
     """
     cx = fld.complex
     rank = vertex_rank(fld)
@@ -165,7 +168,7 @@ def build_gradient(fld: ScalarField) -> DiscreteGradient:
             (tuple(sorted(map(rank.__getitem__, vertices[c]), reverse=True)), d, c)
             for c in cx.ids_of_dim(d)
         ]
-    stars: list[list[int]] = [[] for _ in rank]
+    stars: list[list[int]] = [[] for _ in rank]  # by rank, walked in vertex-id order
     for v, r in enumerate(rank):
         stars[r].append(v)
     for c in range(len(rank), len(key)):
@@ -174,7 +177,7 @@ def build_gradient(fld: ScalarField) -> DiscreteGradient:
 
     pair_up: dict[int, int] = {}
     critical: set[int] = set()
-    for members in stars:
+    for members in map(stars.__getitem__, rank):
         v = members[0]
         if len(members) == 1:
             critical.add(v)
@@ -375,26 +378,50 @@ def build_morse_complex(gradient: DiscreteGradient) -> MorseComplex:
     """Assemble the Morse complex of a gradient.
 
     Boundary entries are parities of alternating paths from the faces of a
-    critical cell down to critical cells one dimension lower: ``flow_down``
-    of the faces, one topological walk of the V-paths they reach.  A cycle
-    in the matching surfaces as GradientCycleError.
+    critical cell down to critical cells one dimension lower.  A vertex has
+    one path (a matched vertex goes on to the other end of its edge), so a
+    critical edge's column is the roots of its two ends, each root found
+    once; higher grades take ``flow_down`` of the faces, one topological walk
+    of the V-paths they reach.  Cells are walked in id order, near in memory.
+    A cycle in the matching surfaces as GradientCycleError.
     """
     cx, vals = gradient.complex, gradient.field.cell_values
+    faces, up, critical = cx.faces, gradient.pair_up, gradient.critical
+    ids = sorted(critical)
     grades: dict[int, list[int]] = {}
-    # Ids run dimension by dimension, so (value, id) is the (value, dim, id) order.
-    for cid in sorted(gradient.critical, key=lambda c: (vals[c], c)):
+    # Ids run dimension by dimension: a stable sort by value gives (value, dim, id).
+    for cid in sorted(ids, key=vals.__getitem__):
         grades.setdefault(cx.dim(cid), []).append(cid)
-    mc = MorseComplex(gradient, grades, {})
-    # flow_down of a k-cell's faces lands on critical (k-1)-cells.
+    mc = MorseComplex(gradient, grades, {k: [()] * len(cells) for k, cells in grades.items()})
     pos = mc._pos
-    for k, cells in grades.items():
-        cols = []
-        for cid in cells:
-            bd = gradient.flow_down(cx.faces[cid])
+    root: list = [None] * cx.n_vertices  # where each vertex's V-path ends; -1: no critical cell
+
+    def find(v: int) -> int:
+        path = []
+        while root[v] is None and v in up:
+            root[v] = _GRAY
+            path.append(v)
+            a, b = faces[up[v]]
+            v = b if a == v else a
+        if root[v] is None:
+            root[v] = v if v in critical else -1
+        elif root[v] is _GRAY:
+            raise GradientCycleError(f"closed V-path at cell {v}")
+        for u in path:
+            root[u] = root[v]
+        return root[v]
+
+    for cid in ids:
+        k, i = pos[cid]
+        if k == 1:
+            a, b = map(find, faces[cid])
+            bd = () if a == b else [r for r in (a, b) if r >= 0]
+        else:  # flow_down of a k-cell's faces lands on critical (k-1)-cells
+            bd = gradient.flow_down(faces[cid]) if faces[cid] else ()
             if bd and k - 1 not in grades:
                 raise ChainError(f"boundary of {cid} hits an absent grade")
-            cols.append(tuple(sorted([pos[c][1] for c in bd])))
-        mc.boundary[k] = cols
+        if bd:
+            mc.boundary[k][i] = tuple(sorted([pos[c][1] for c in bd]))
     return mc
 
 

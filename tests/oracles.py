@@ -23,6 +23,11 @@ complex, as a fast route to hold the reference against.  ``empty_gradient``
 is a third matching that shares no code with the lower-star builder: it
 leaves every cell critical, so its Morse complex is the full complex.
 
+``reference_morse_complex`` is the slow route of
+``morse.build_morse_complex``: every critical cell's column is ``flow_down``
+of its faces, grade 1 included, cells taken grade by grade in field order
+and grades sorted on a (value, id) tuple key.
+
 ``exhaustive_spectral_value`` is the brute-force minimum ``chain_action``
 (the largest cell value in a chain's support) over a class's coset, the
 small-size reference for the echelon greedy of
@@ -44,7 +49,13 @@ from dataclasses import dataclass
 import morsespec.homology as fullh
 from morsespec.complex import CellComplex, c0_distance, make_field
 from morsespec.errors import ChainError, ComplexBuildError, ComplexMismatchError
-from morsespec.morse import DiscreteGradient, build_gradient, check_one_complex, homology_basis
+from morsespec.morse import (
+    DiscreteGradient,
+    MorseComplex,
+    build_gradient,
+    check_one_complex,
+    homology_basis,
+)
 from morsespec.spectral import rho
 
 
@@ -309,6 +320,26 @@ def mirror_gradient(fld) -> DiscreteGradient:
 def empty_gradient(fld) -> DiscreteGradient:
     """The empty matching of ``fld``: every cell critical, no V-path."""
     return DiscreteGradient(fld, {}, frozenset(range(len(fld.complex))))
+
+
+def reference_morse_complex(gradient) -> MorseComplex:
+    """The Morse complex of ``gradient`` with one ``flow_down`` walk per
+    critical cell; a cycle in the matching raises GradientCycleError."""
+    cx, vals = gradient.complex, gradient.field.cell_values
+    grades: dict[int, list[int]] = {}
+    for cid in sorted(gradient.critical, key=lambda c: (vals[c], c)):
+        grades.setdefault(cx.dim(cid), []).append(cid)
+    mc = MorseComplex(gradient, grades, {})
+    pos = mc._pos
+    for k, cells in grades.items():
+        cols = []
+        for cid in cells:
+            bd = gradient.flow_down(cx.faces[cid])
+            if bd and k - 1 not in grades:
+                raise ChainError(f"boundary of {cid} hits an absent grade")
+            cols.append(tuple(sorted([pos[c][1] for c in bd])))
+        mc.boundary[k] = cols
+    return mc
 
 
 def chain_action(fld, chain) -> float:

@@ -299,3 +299,40 @@ def test_field_file_plain_and_csv(tmp_path):
     csv_on_simplicial.write_text("0,1\n2,3\n")
     with pytest.raises(InputFormatError):
         load_field(csv_on_simplicial, cycle_graph(4))
+
+
+# Characters that str.splitlines ends a line at but the loaders keep in it.
+NOT_NEWLINES = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def error_line(load, tmp_path, text, *args):
+    path = tmp_path / "in.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputFormatError) as err:
+        load(path, *args)
+    return err.value.line
+
+
+def newline_counted(text, marker):
+    """The line of ``marker`` in ``text``, lines ended by "\\n" alone."""
+    return text[: text.index(marker)].count("\n") + 1
+
+
+@pytest.mark.parametrize("ch", NOT_NEWLINES)
+def test_simplicial_file_lines_end_at_newlines_only(tmp_path, ch):
+    # The character separates vertex ids as whitespace does, and starts no line.
+    for text, marker in ((f"0 1 2{ch}3\n4 5\n6 x\n", "x"), (f"0 1{ch}2\n{ch}\n3 4\n5 5\n", "5 5")):
+        assert error_line(load_simplicial, tmp_path, text) == newline_counted(text, marker)
+    assert error_line(load_simplicial, tmp_path, "0 1\n2 x\n") == 2
+
+
+@pytest.mark.parametrize("ch", NOT_NEWLINES)
+def test_field_file_lines_end_at_newlines_only(tmp_path, ch):
+    cx = build_torus_grid(3, 3)
+    plain = f"0.1 0.2{ch}0.3\n{ch}\n0.4 0.5 0.6\n0.7 x 0.8 0.9\n"
+    assert error_line(load_field, tmp_path, plain, cx) == newline_counted(plain, "x")
+    # A CSV line of that character alone is blank, so it is skipped.
+    grid = f"0.1,0.2,0.3\n{ch}\n0.4,0.5,0.6\n0.7,0.8,x\n"
+    assert error_line(load_field, tmp_path, grid, cx) == newline_counted(grid, "x")
+    wide = f"0.1,0.2,0.3\n{ch}\n0.4,0.5,0.6,0.65\n0.7,0.8,0.9\n"
+    assert error_line(load_field, tmp_path, wide, cx) == newline_counted(wide, "0.65")

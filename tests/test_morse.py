@@ -1,10 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import morsespec.homology as fullh
 import oracles
-from conftest import cubical_3torus, cycle_graph, dyadic_field, random_instance, tetra_boundary
+from conftest import (
+    DENOM,
+    cubical_3torus,
+    cycle_graph,
+    dyadic_field,
+    random_instance,
+    tetra_boundary,
+)
 from morsespec import (
     MorseComplex,
     build_from_simplicial,
@@ -196,6 +205,105 @@ def test_validate_detects_a_closed_v_path():
     g = DiscreteGradient(fld, pair_up, critical)
     with pytest.raises(GradientCycleError):
         oracles.validate_gradient(g)
+
+
+# ------------------------------------------------------------ the reference route
+
+
+def assert_same_morse(g):
+    """``build_morse_complex`` equals the one-walk-per-cell reference, grade
+    order and boundary order included."""
+    mc, ref = build_morse_complex(g), oracles.reference_morse_complex(g)
+    assert list(mc.grades.items()) == list(ref.grades.items())
+    assert list(mc.boundary.items()) == list(ref.boundary.items())
+
+
+def test_morse_complex_equals_reference_on_the_corpus(corpus):
+    for cx, fld in corpus:
+        assert_same_morse(build_gradient(fld))
+        assert_same_morse(oracles.reference_gradient(cx, fld, "reverse-id"))
+
+
+def random_plateau_constant(cx, rng):
+    yield dyadic_field(cx, rng)
+    yield make_field(cx, [rng.randrange(3) / 2 for _ in range(cx.n_vertices)])
+    yield make_field(cx, [0.0] * cx.n_vertices)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_morse_complex_equals_reference_on_tori(n):
+    cx = build_torus_grid(n, n)
+    for fld in [*random_plateau_constant(cx, random.Random(n)), expression_field(cx, "bump")]:
+        assert_same_morse(build_gradient(fld))
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 3)])
+def test_morse_complex_equals_reference_on_the_3_tori(shape):
+    cx = cubical_3torus(*shape)
+    for fld in random_plateau_constant(cx, random.Random(str(shape))):
+        assert_same_morse(build_gradient(fld))
+
+
+def test_morse_complex_equals_reference_on_the_empty_matching(corpus):
+    # Every cell is critical: each edge's column is its two ends.
+    for _, fld in corpus[:20]:
+        assert_same_morse(oracles.empty_gradient(fld))
+
+
+@st.composite
+def simplicial_fields(draw):
+    """A field on a closed simplicial complex of at most 8 vertices, with
+    values in {0, 1/2, 1} (most cells tie) or dyadic."""
+    n = draw(st.integers(2, 8))
+    simplices = st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True)
+    cx = build_from_simplicial(draw(st.lists(simplices, min_size=1, max_size=10)))
+    values = draw(st.sampled_from([
+        st.sampled_from((0.0, 0.5, 1.0)),
+        st.integers(0, DENOM).map(lambda k: k / DENOM),
+    ]))
+    return make_field(cx, draw(st.lists(values, min_size=cx.n_vertices,
+                                        max_size=cx.n_vertices)))
+
+
+@settings(deadline=None)
+@given(simplicial_fields(), st.sampled_from(("id", "reverse-id", "empty")))
+def test_morse_complex_equals_reference_on_simplicial_complexes(fld, matching):
+    if matching == "id":
+        g = build_gradient(fld)
+    elif matching == "reverse-id":
+        g = oracles.reference_gradient(fld.complex, fld, "reverse-id")
+    else:
+        g = oracles.empty_gradient(fld)
+    assert_same_morse(g)
+
+
+def test_vertex_loop_reached_by_a_critical_edge_raises():
+    # A square loop 0 -> 1 -> 2 -> 3 -> 0, each vertex paired with its next
+    # edge, and a tail 4 -> 0 into it; only the critical edge 45 reaches the
+    # tail, and both routes raise.
+    cx = build_from_simplicial([[0, 1], [1, 2], [2, 3], [0, 3], [0, 4], [4, 5]])
+    fld = make_field(cx, [0.0] * cx.n_vertices)
+    edges = {cx.vertices[c]: c for c in cx.ids_of_dim(1)}
+    pair_up = {0: edges[(0, 1)], 1: edges[(1, 2)], 2: edges[(2, 3)], 3: edges[(0, 3)],
+               4: edges[(0, 4)]}
+    g = DiscreteGradient(fld, pair_up, frozenset({5, edges[(4, 5)]}))
+    for build in (build_morse_complex, oracles.reference_morse_complex):
+        with pytest.raises(GradientCycleError):
+            build(g)
+
+
+def test_edge_end_neither_matched_nor_critical_flows_nowhere():
+    # Forged: a critical vertex dropped from the critical cells, or a matched
+    # vertex dropped from the matching, ends every V-path that reaches it;
+    # the roots give the columns the walk gives.
+    cx = build_torus_grid(6, 5)
+    g = build_gradient(dyadic_field(cx, random.Random(20)))
+    vertices = range(cx.n_vertices)
+    for v in [c for c in vertices if c in g.critical]:
+        assert_same_morse(DiscreteGradient(g.field, g.pair_up, g.critical - {v}))
+    for v in [c for c in vertices if c in g.pair_up][:10]:
+        pair_up = {q: k for q, k in g.pair_up.items() if q != v}
+        assert_same_morse(DiscreteGradient(g.field, pair_up, g.critical))
 
 
 # ------------------------------------------------------------ homology
