@@ -37,7 +37,7 @@ from pathlib import Path
 from . import bounds as bnd
 from . import homology as fullh
 from . import morse, spectral
-from .complex import CellComplex, build_torus_grid, load_field, load_simplicial
+from .complex import CellComplex, ScalarField, build_torus_grid, load_field, load_simplicial
 from .continuation import sandwich_built
 from .errors import MorsespecError
 from .fields import expression_field, family, random_field, random_numerators
@@ -210,20 +210,22 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    cx = _parse_complex(args.complex)
-    if args.oracle and len(cx) > MAX_ORACLE_CELLS:
-        raise MorsespecError(
-            f"--oracle takes up to {MAX_ORACLE_CELLS} cells; "
-            f"complex spec {args.complex!r} has {len(cx)}"
-        )
-    fld = _parse_field(args.field, cx)
-    classes = _resolve_classes(cx, args.cls)
-    mc = morse.MorseComplex.from_field(fld)
-    if args.oracle:
+    def own(cx):
+        if args.oracle and len(cx) > MAX_ORACLE_CELLS:
+            raise MorsespecError(f"--oracle takes up to {MAX_ORACLE_CELLS} cells; "
+                                 f"complex spec {args.complex!r} has {len(cx)}")
+        fld = _parse_field(args.field, cx)
+        mc = morse.MorseComplex.from_field(fld)
+        if not args.oracle:
+            return mc, None
         # The empty matching leaves every cell critical, so its Morse complex
         # is the full complex: rho there needs no gradient and no flow.
         every = frozenset(range(len(cx)))
-        full = morse.build_morse_complex(morse.DiscreteGradient(fld, {}, every))
+        return mc, morse.build_morse_complex(morse.DiscreteGradient(fld, {}, every))
+
+    cx, (mc, full), rows = _beside(args.complex, own, lambda cx: [
+        (label, Y.grade, Y.support) for label, Y in _resolve_classes(cx, args.cls)])
+    classes = [(label, HomologyClass(k, s, "full", owner=cx)) for label, k, s in rows]
     passed = failed = 0
     results = []
     for label, Y in classes:
@@ -242,12 +244,13 @@ def _cmd_spectral(args) -> int:
 
 def _compare_one(cx, fa, fb, classes) -> list[dict]:
     mc_minus = morse.MorseComplex.from_field(fa)
-    mc_plus = morse.MorseComplex.from_field(fb)
-    results = []
-    for label, Y in classes:
-        rep = sandwich_built(mc_minus, mc_plus, spectral.project_class(mc_minus, Y))
-        results.append({"class": label, **rep.to_json_dict()})
-    return results
+    return _sandwiches(mc_minus, morse.MorseComplex.from_field(fb), classes)
+
+
+def _sandwiches(minus, plus, classes) -> list[dict]:
+    return [{"class": label,
+             **sandwich_built(minus, plus, spectral.project_class(minus, Y)).to_json_dict()}
+            for label, Y in classes]
 
 
 def _trials(cx, classes, seed: int, mine: range):
@@ -260,28 +263,48 @@ def _trials(cx, classes, seed: int, mine: range):
             random_numerators(cx, rng), random_numerators(cx, rng)
 
 
+def _cpus(most: int) -> int:  # the CPUs this process may run on, at most ``most``
+    return min(len(os.sched_getaffinity(0)), most) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _worker(items) -> tuple:
+    """``(pid, reader)`` of a forked worker that marshals each value of ``items()`` to a pipe
+    and exits at their end or an error.  No thread runs here, so fork is safe."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # at a process or memory limit: as a worker that stopped, with no pid
+        os.close(w)
+        return None, open(r, "rb")
+    if pid == 0:
+        try:
+            os.close(r)
+            out = open(w, "wb", buffering=0)
+            for item in items():
+                marshal.dump(item, out)
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _reap(workers: list) -> None:  # close each (pid, reader)'s reader, end and reap its worker
+    for pid, reader in workers:
+        reader.close()
+        if pid is not None:
+            os.kill(pid, 9)  # SIGKILL; importing signal would cost every start about 1 ms
+            os.waitpid(pid, 0)
+
+
 def _fork_trials(cx, classes, seed: int, trials: int):
-    """Every trial's entries in trial order.  Process i of n, one per CPU this one may run on,
-    runs trials t = i mod n; this one is process 0.  The CLI starts no thread: fork is safe."""
-    n = min(len(os.sched_getaffinity(0)), trials) if hasattr(os, "sched_getaffinity") else 1
-    readers, pids = [], []
+    """Every trial's entries in trial order.  Process i of n, one per CPU this one may run
+    on, runs trials t = i mod n; this one is process 0."""
+    n, workers = _cpus(trials), []
     try:
         for i in range(1, n):
-            r, w = os.pipe()
-            readers.append(open(r, "rb"))
-            pids.append(os.fork())
-            if pids[-1] == 0:  # a worker: it exits at its end, an error or a write nobody reads
-                try:
-                    out = open(w, "wb", buffering=0)
-                    for f in readers:
-                        f.close()
-                    for entries in _trials(cx, classes, seed, range(i, trials, n)):
-                        marshal.dump(entries, out)
-                finally:
-                    os._exit(0)
-            os.close(w)
+            workers.append(_worker(lambda i=i: _trials(cx, classes, seed, range(i, trials, n))))
         sources = [_trials(cx, classes, seed, range(0, trials, n))]
-        sources += [map(marshal.load, repeat(f)) for f in readers]
+        sources += [map(marshal.load, repeat(reader)) for _, reader in workers]
         for t in range(trials):
             try:
                 yield from next(sources[t % n])
@@ -289,9 +312,27 @@ def _fork_trials(cx, classes, seed: int, trials: int):
                 sources[t % n] = _trials(cx, classes, seed, range(t, trials, n))
                 yield from next(sources[t % n])
     finally:
-        for f, pid in zip(readers, pids):
-            f.close()
-            os.waitpid(pid, 0)
+        _reap(workers)
+
+
+def _beside(spec: str, own, job, fork: bool = True) -> tuple:
+    """``(cx, own(cx), job(cx))`` on the complex cx of ``spec``.  Given ``fork``, 2 or more CPUs
+    and a torus (read twice, unlike a file), a worker runs job on a torus it builds while this
+    process runs own.  Without its result, job runs here after own, which takes every input
+    that fails first in the serial order: errors are serial."""
+    if fork and spec.startswith("torus:") and _cpus(2) > 1:
+        pid, result = _worker(lambda: [job(_parse_complex(spec))])
+    else:
+        pid, result = None, open(os.devnull, "rb")
+    try:
+        cx = _parse_complex(spec)
+        mine = own(cx)
+        try:
+            return cx, mine, marshal.load(result)
+        except EOFError:
+            return cx, mine, job(cx)
+    finally:
+        _reap([(pid, result)])
 
 
 def _cmd_compare(args) -> int:
@@ -299,15 +340,28 @@ def _cmd_compare(args) -> int:
         raise MorsespecError(f"--trials must be in 0..{MAX_TRIALS}, got {args.trials}")
     if args.trials > 0 and (args.field_a is not None or args.field_b is not None):
         raise MorsespecError("--trials draws random fields; it cannot take --field-a/--field-b")
-    cx = _parse_complex(args.complex)
-    classes = _resolve_classes(cx, args.cls)
-    if args.trials > 0:
-        results = list(_fork_trials(cx, classes, args.seed, args.trials))
-    elif args.field_a and args.field_b:
-        fa, fb = _parse_field(args.field_a, cx), _parse_field(args.field_b, cx)
-        results = _compare_one(cx, fa, fb, classes)
+    if args.trials == 0 and args.field_a and args.field_b:
+        def own(cx):
+            classes = _resolve_classes(cx, args.cls)
+            return classes, morse.MorseComplex.from_field(_parse_field(args.field_a, cx))
+
+        def plus(cx):  # field b's Morse complex, as the data that rebuilds it on cx
+            mc = morse.MorseComplex.from_field(_parse_field(args.field_b, cx))
+            fld, g = mc.field, mc.gradient
+            return (fld.vertex_values, fld.cell_values, g.pair_up, g.critical, mc.grades,
+                    mc.boundary)
+        # The worker reads field b, and this process does again if it stops: not a pipe.
+        fork = args.field_b.startswith("expr:") or os.path.isfile(args.field_b)
+        cx, (classes, mc_minus), (vv, cv, up, crit, grades, bd) = _beside(
+            args.complex, own, plus, fork)
+        gradient = morse.DiscreteGradient(ScalarField(cx, vv, cv), up, crit)
+        results = _sandwiches(mc_minus, morse.MorseComplex(gradient, grades, bd), classes)
     else:
-        raise MorsespecError("compare needs --field-a and --field-b, or --trials")
+        cx = _parse_complex(args.complex)
+        classes = _resolve_classes(cx, args.cls)
+        if args.trials == 0:
+            raise MorsespecError("compare needs --field-a and --field-b, or --trials")
+        results = list(_fork_trials(cx, classes, args.seed, args.trials))
     passed = sum(entry["pass"] for entry in results)
     inputs = _echo(args, "complex", "field_a", "field_b", "class", "trials")
     return _finish(args, inputs, results, passed, len(results) - passed)

@@ -401,7 +401,10 @@ def build_morse_complex(gradient: DiscreteGradient) -> MorseComplex:
         while root[v] is None and v in up:
             root[v] = _GRAY
             path.append(v)
-            a, b = faces[up[v]]
+            try:
+                a, b = faces[up[v]]
+            except ValueError:  # only a forged matching pairs a vertex with a non-edge
+                raise ChainError(f"vertex {v} is paired with cell {up[v]}, not an edge") from None
             v = b if a == v else a
         if root[v] is None:
             root[v] = v if v in critical else -1

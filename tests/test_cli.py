@@ -734,6 +734,136 @@ def test_stopped_worker_leaves_its_trials_to_the_parent(capsys, monkeypatch):
     assert len(done) == 11 - 2 * 2
 
 
+FORKED_STAGES = [
+    "spectral --complex torus:6:6 --field expr:random:1 --class all",
+    "spectral --complex torus:6:6 --field expr:random:1 --class all --oracle",
+    "compare --complex torus:6:6 --field-a expr:random:1 --field-b expr:random:2 --class all",
+]
+
+
+def parsing_pids(monkeypatch, tmp_path) -> Path:
+    """A file that gets the pid of every process that parses a complex, one per line."""
+    pids, real = tmp_path / "pids", cli._parse_complex
+
+    def parse_complex(spec):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(spec)
+
+    monkeypatch.setattr(cli, "_parse_complex", parse_complex)
+    return pids
+
+
+@pytest.mark.parametrize("command", FORKED_STAGES)
+def test_forked_stage_report_does_not_depend_on_cpu_count(capsys, monkeypatch, tmp_path, command):
+    pids, outs = parsing_pids(monkeypatch, tmp_path), []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for n in (1, 2, 3):
+            cpus(monkeypatch, n)
+            pids.write_text("")
+            code, out, err = run_cli(capsys, *command.split())
+            assert code == 0 and err == ""
+            assert no_child_left()
+            # One process builds its complex; with two CPUs or more a worker builds its own.
+            assert len(set(pids.read_text().split())) == (1 if n == 1 else 2)
+            outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
+
+
+@pytest.mark.parametrize("command, error", [
+    ("compare --complex torus:4:4 --field-a expr:bump --field-b expr:nope",
+     "unknown field expression 'nope'"),
+    ("compare --complex torus:4:4 --field-a expr:bump --field-b expr:nope --class grade:x",
+     "bad class selector 'grade:x'; want point, fundamental, all "
+     "or grade:K:index:I with integers K, I >= 0"),
+    ("compare --complex torus:4:4 --field-a expr:bump --field-b expr:bump --class grade:1:index:7",
+     "class selector 'grade:1:index:7': grade 1 has only 2 classes"),
+    ("spectral --complex torus:4:4 --field expr:bump --class grade:1:index:5",
+     "class selector 'grade:1:index:5': grade 1 has only 2 classes"),
+    ("spectral --complex torus:4:4 --field expr:nope --class grade:1:index:5",
+     "unknown field expression 'nope'"),
+])
+def test_forked_stage_error_is_the_serial_error(capsys, monkeypatch, command, error):
+    # The worker's input fails after the parent's own stages, in the serial order.
+    for n in (1, 2, 3):
+        cpus(monkeypatch, n)
+        assert bad_input(capsys, *command.split()) == error
+        assert no_child_left()
+
+
+@pytest.mark.parametrize("command", FORKED_STAGES)
+def test_stopped_stage_worker_leaves_its_work_to_the_parent(capsys, monkeypatch, tmp_path, command):
+    # A worker that vanishes before it starts, as if killed: the parent does its work.
+    parent, real, stopped = os.getpid(), cli._parse_complex, tmp_path / "stopped"
+
+    def parse_complex(spec):
+        if os.getpid() != parent:
+            stopped.write_text("a worker stopped")
+            os._exit(0)
+        return real(spec)
+
+    outs = []
+    for n in (1, 3):
+        cpus(monkeypatch, n)
+        monkeypatch.setattr(cli, "_parse_complex", parse_complex if n > 1 else real)
+        code, out, err = run_cli(capsys, *command.split())
+        assert code == 0 and err == "" and no_child_left()
+        outs.append(out)
+    assert stopped.read_text() == "a worker stopped"
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", [
+    *FORKED_STAGES, "compare --complex torus:6:6 --trials 5 --seed 3 --class all"])
+def test_failed_fork_leaves_the_work_to_the_parent(capsys, monkeypatch, command):
+    # A fork refused at a process or memory limit reads as a worker that stopped.
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    cpus(monkeypatch, 1)
+    serial = run_cli(capsys, *command.split())
+    cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", fork)
+    fds = sorted(os.listdir("/dev/fd"))
+    assert run_cli(capsys, *command.split()) == serial
+    assert serial[0] == 0 and sorted(os.listdir("/dev/fd")) == fds and no_child_left()
+
+
+TETRA = "0 1 2\n0 1 3\n0 2 3\n1 2 3\n"
+A_CSV = "0,0.25,0.5\n0.125,0.375,0.625\n0.75,0.875,1.0\n"
+B_CSV = "0.5,0.75,1.0\n0.625,0.875,1.125\n1.25,1.375,1.5\n"
+
+
+@pytest.mark.parametrize("command, piped", [
+    ("spectral --complex file:{} --field expr:random:1 --class all", TETRA),
+    ("compare --complex file:{} --field-a expr:random:1 --field-b expr:random:2", TETRA),
+    ("compare --complex torus:3:3 --field-a a.csv --field-b {} --class all", B_CSV),
+    ("compare --complex torus:3:3 --field-a a.csv --field-b {}", B_CSV.replace("1.5", "x")),
+])
+def test_an_input_from_a_pipe_is_read_once(capsys, monkeypatch, tmp_path, command, piped):
+    # A pipe reads once: a worker that read it too would leave this process a
+    # drained pipe, so a complex or field b from one runs in one process.
+    monkeypatch.chdir(tmp_path)
+    Path("a.csv").write_text(A_CSV)
+    Path("piped").write_text(piped)
+    cpus(monkeypatch, 1)
+    serial = run_cli(capsys, *command.format("piped").split())
+    pids = parsing_pids(monkeypatch, tmp_path)
+    cpus(monkeypatch, 2)
+    r, w = os.pipe()
+    try:
+        os.write(w, piped.encode())
+        os.close(w)
+        code, out, err = run_cli(capsys, *command.format(f"/dev/fd/{r}").split())
+        assert (code, out.replace(f"/dev/fd/{r}", "piped"), err) == serial
+    finally:
+        os.close(r)
+    assert serial[0] in (0, 2) and no_child_left()
+    assert len(set(pids.read_text().split())) == 1
+
+
 README_INPUTS = {
     "homology": ["complex", "field"],
     "spectral": ["complex", "field", "class"],

@@ -292,6 +292,16 @@ def test_vertex_loop_reached_by_a_critical_edge_raises():
             build(g)
 
 
+def test_vertex_paired_with_a_square_is_a_chain_error():
+    # Forged: vertex 0 of the 3x3 torus matched with a square, which has four
+    # faces; the grade-1 root walk names the pair instead of failing to unpack.
+    cx = build_torus_grid(3, 3)
+    square = cx.ids_of_dim(2)[0]
+    critical = frozenset(range(1, len(cx))) - {square}
+    g = DiscreteGradient(make_field(cx, range(9)), {0: square}, critical)
+    with pytest.raises(ChainError, match=f"^vertex 0 is paired with cell {square}, not an edge$"):
+        build_morse_complex(g)
+
 def test_edge_end_neither_matched_nor_critical_flows_nowhere():
     # Forged: a critical vertex dropped from the critical cells, or a matched
     # vertex dropped from the matching, ends every V-path that reaches it;
