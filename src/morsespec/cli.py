@@ -46,13 +46,13 @@ from .homology import HomologyClass
 
 # Sizes above these are bad input, refused before any work starts: torus
 # vertices (16 times a 256x256 grid), cells under ``spectral --oracle`` (the
-# 128x128 torus: its full-complex echelons grow quadratically, 126 MiB there
-# and 1.2 GB at 256x256), ``bounds iterate`` steps (its oracle runs each;
+# 256x256 torus: it reduces the whole complex, every cell critical, which
+# takes seconds there), ``bounds iterate`` steps (its oracle runs each;
 # 10^7 take seconds) and ``compare --trials`` (every entry stays in memory
 # until the report prints).  ``fields.MAX_FAMILY_STEPS`` caps sweeps and
 # ``complex.MAX_SIMPLICIAL_CELLS`` simplicial closures.
 MAX_TORUS_VERTICES = 1 << 20
-MAX_ORACLE_CELLS = 1 << 16
+MAX_ORACLE_CELLS = 1 << 18
 MAX_ITERATE_N = 10_000_000
 MAX_TRIALS = 10_000
 

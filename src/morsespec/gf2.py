@@ -7,7 +7,9 @@ elimination loop: each column is reduced as a set of rows with a set of
 column indices beside it for its combination, at a cost per entry rather
 than per top index.  It returns the kernel combinations and the pivot rows,
 and ``homology_cycles`` walks a chain complex's grades top down with it, so
-each boundary matrix is reduced once (clearing).
+each boundary matrix is reduced once (clearing).  ``cancel`` is the same
+pivot step without the combination: it cancels a row set against a kept
+echelon, which is how spectral values reduce chains.
 
 Every matrix goes through ``reduce_columns``, which returns what
 ``reduce_sparse`` returns but takes union-find where the matrix is graphic:
@@ -54,6 +56,18 @@ def reduce_sparse(
         else:
             out.append(combo)
     return out, set(ech)
+
+
+def cancel(rows: set[int], ech: dict[int, set[int]]) -> set[int]:
+    """Cancel ``max(rows)`` against the echelon ``ech`` (pivot -> rows) in
+    place until it is no pivot; return rows, empty iff they were in the span
+    of ech's columns."""
+    while rows:
+        col = ech.get(max(rows))
+        if col is None:
+            break
+        rows ^= col
+    return rows
 
 
 def reduce_columns(

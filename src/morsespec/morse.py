@@ -25,9 +25,9 @@ isomorphism at chain level.  The Morse complex thus has the homology of the
 full complex, and both take their cycles from one top-down
 ``gf2.homology_cycles`` walk over row-index columns (here ``homology_basis``,
 which ``betti`` counts).  A Morse column is the ascending tuple of its row
-positions, and a Morse chain is a set of positions in its grade.  Bitmasks
-appear in one place only: the echelon of the boundary entering a grade, which
-``MorseComplex.reduce_chain`` reduces chains against for spectral values.
+positions, and a Morse chain is a set of positions in its grade.  The echelon
+of the boundary entering a grade, which ``MorseComplex.reduce_chain`` reduces
+chains against for spectral values, holds position sets too.
 
 Everything here takes each fact once: a gradient is built from a field, which
 knows its complex, and a Morse complex from a gradient, which knows its field.
@@ -248,7 +248,7 @@ class MorseComplex:
         self.grades = grades
         self.boundary = boundary
         self._pos = {cid: (k, i) for k, cells in grades.items() for i, cid in enumerate(cells)}
-        self._echelon: dict[int, dict[int, int]] = {}
+        self._echelon: dict[int, dict[int, set[int]]] = {}
 
     @property
     def complex(self) -> CellComplex:
@@ -320,21 +320,18 @@ class MorseComplex:
     def is_cycle(self, grade: int, chain) -> bool:
         return not self.boundary_of(grade, chain)
 
-    def boundary_echelon(self, grade: int) -> dict[int, int]:
+    def boundary_echelon(self, grade: int) -> dict[int, set[int]]:
         """The columns of the boundary arriving in ``grade`` in echelon form,
-        as a map pivot -> column, columns as int bitmasks (bit i is position
-        i).  Cached for spectral queries; the homology walk keeps no echelon
-        alive.  Bitmasks stay here: with the conversion from tuples counted,
-        a set-based echelon took 1.6-1.8x as long on random fields from 32^2
-        to 256^2."""
+        as a map pivot -> set of positions, each built by ``gf2.cancel``.
+        Cached for spectral queries; the homology walk keeps no echelon
+        alive."""
         ech = self._echelon.get(grade)
         if ech is None:
             ech = {}
             for col in self.boundary.get(grade + 1, []):
-                # Positions in a column are distinct, so the sum is their OR.
-                v = _reduce(sum(map((1).__lshift__, col)), ech)
-                if v:
-                    ech[v.bit_length() - 1] = v
+                rows = gf2.cancel(set(col), ech)
+                if rows:
+                    ech[max(rows)] = rows
             self._echelon[grade] = ech
         return ech
 
@@ -342,13 +339,7 @@ class MorseComplex:
         """Positions of ``chain`` once its top is cancelled against the
         boundary echelon until no pivot matches, ascending; empty iff the
         chain is a boundary."""
-        v = _reduce(sum(map((1).__lshift__, chain)), self.boundary_echelon(grade))
-        out = []
-        while v:
-            low = v & -v
-            out.append(low.bit_length() - 1)
-            v ^= low
-        return out
+        return sorted(gf2.cancel(set(chain), self.boundary_echelon(grade)))
 
     def betti(self) -> list[int]:
         return [len(classes) for classes in homology_basis(self).values()]
@@ -362,16 +353,6 @@ class MorseComplex:
             },
             "boundary": {str(k): list(cols) for k, cols in sorted(self.boundary.items())},
         }
-
-
-def _reduce(v: int, ech: dict[int, int]) -> int:
-    """Cancel the top bit of v against ech until it is no longer a pivot."""
-    while v:
-        col = ech.get(v.bit_length() - 1)
-        if col is None:
-            return v
-        v ^= col
-    return 0
 
 
 def build_morse_complex(gradient: DiscreteGradient) -> MorseComplex:

@@ -10,7 +10,8 @@ pivots until stuck.  Any other representative differs by a sum of echelon
 columns; the largest pivot used either exceeds the surviving top (raising the
 action) or cannot reach it, so the greedy result is the true minimum.  The
 echelon and the cancellation are ``MorseComplex.boundary_echelon`` and
-``MorseComplex.reduce_chain``; chains here are position sets.
+``MorseComplex.reduce_chain``, one ``gf2.cancel`` step each; chains and
+echelon columns here are position sets.
 """
 
 from __future__ import annotations

@@ -4,11 +4,14 @@ These run no ``gf2.homology_cycles`` walk: Betti numbers count ranks from
 ``echelonize`` of every boundary matrix, a boundary test reduces the chain
 against the echelon of the boundary entering its grade, and class
 coordinates solve one linear system of boundaries plus basis classes.  They
-stay on bitmasks, a column form the package keeps only inside the spectral
-echelon: a bitmask vector is a Python int, bit i is coordinate i, and a column's
-pivot is its highest set bit.  ``boundary_masks`` turns the index-list
-columns of ``morsespec.homology.boundary_columns`` into masks, and a d-chain
-is a mask over ``cx.ids_of_dim(d)`` with bit i the cell ``ids_of_dim(d)[i]``;
+run on bitmasks, a column form the package does not use, so they share no
+code with the position sets of ``gf2``: a bitmask vector is a Python int, bit
+i is coordinate i, and a column's pivot is its highest set bit.
+``echelonize`` and ``reduce_vector`` are the reference for the spectral
+echelon, ``MorseComplex.boundary_echelon`` and ``reduce_chain``.
+``boundary_masks`` turns the index-list columns of
+``morsespec.homology.boundary_columns`` into masks, and a d-chain is a mask
+over ``cx.ids_of_dim(d)`` with bit i the cell ``ids_of_dim(d)[i]``;
 ``morse_masks`` and ``morse_chain`` do the same for a Morse complex's
 position tuples and chains.  ``reduce_boundary`` is the bitmask elimination
 that ``gf2.reduce_sparse`` and its union-find routes must agree with.

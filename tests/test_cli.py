@@ -114,11 +114,11 @@ def test_spectral_oracle_cell_cap(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_parse_field", None)
     monkeypatch.setattr(morse, "build_morse_complex", None)
     error = bad_input(
-        capsys, "spectral", "--complex", "torus:129:128", "--field", "expr:bump", "--oracle"
+        capsys, "spectral", "--complex", "torus:257:256", "--field", "expr:bump", "--oracle"
     )
     assert error == (
         f"--oracle takes up to {MAX_ORACLE_CELLS} cells; "
-        "complex spec 'torus:129:128' has 66048"
+        "complex spec 'torus:257:256' has 263168"
     )
 
 

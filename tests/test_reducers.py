@@ -10,6 +10,12 @@ skip sets drawn the way clearing draws them: the pivot rows of a random
 matrix above.  Whole bases are compared with ``homology.homology_basis`` run
 on the elimination loop alone.
 
+The spectral echelon is held against the bitmask reference of
+``tests/oracles.py``: ``MorseComplex.boundary_echelon`` on random sparse
+columns equals ``oracles.echelonize`` of their masks, and
+``MorseComplex.reduce_chain`` of a random chain equals
+``oracles.reduce_vector`` against that echelon.
+
 The properties take their example count from the Hypothesis profile, so
 ``--hypothesis-profile=ci`` (see ``conftest.py``) runs them longer.
 """
@@ -21,8 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morsespec.homology as fullh
+import oracles
 from conftest import cubical_3torus, random_simplicial, tetra_boundary
-from morsespec import build_from_simplicial, build_torus_grid, gf2
+from morsespec import MorseComplex, build_from_simplicial, build_torus_grid, gf2
 
 
 @st.composite
@@ -80,6 +87,21 @@ def test_rows_route_refuses_a_row_of_three(data):
     else:
         assert out == gf2.reduce_sparse(columns)
     assert gf2.reduce_columns(columns) == gf2.reduce_sparse(columns)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_set_echelon_equals_bitmask_echelon(data):
+    rows = data.draw(st.integers(1, 12), label="rows")
+    column = st.lists(st.integers(0, rows - 1), unique=True, max_size=5)
+    columns = [tuple(sorted(c)) for c in data.draw(st.lists(column, max_size=16), label="columns")]
+    chain = data.draw(st.sets(st.integers(0, rows - 1)), label="chain")
+    # The echelon and the cancellation read only the boundary entering grade 0.
+    mc = MorseComplex(None, {}, {1: columns})
+    masks = oracles.echelonize([oracles.from_bits(c) for c in columns])
+    assert {p: oracles.from_bits(c) for p, c in mc.boundary_echelon(0).items()} == masks
+    expected = oracles.to_bits(oracles.reduce_vector(oracles.from_bits(chain), masks))
+    assert mc.reduce_chain(0, chain) == expected
 
 
 def elimination_basis(cx, monkeypatch):

@@ -140,7 +140,8 @@ def test_witness_is_homologous_minimizer():
             diff = rep.witness ^ X.support
             if diff:
                 chain = oracles.morse_chain(mc, k, diff)
-                assert not oracles.reduce_vector(chain, mc.boundary_echelon(k))
+                echelon = {p: oracles.from_bits(c) for p, c in mc.boundary_echelon(k).items()}
+                assert not oracles.reduce_vector(chain, echelon)
             assert rep.sigma == fld.cell_values[rep.critical_cell]
 
 

@@ -35,7 +35,7 @@ and under each of ``expr:random:1`` and ``expr:bump``:
 * ``betti``: ``MorseComplex.betti``, the Morse homology walk through
   ``gf2.reduce_columns``;
 * ``spectral_value``: ``project_class`` and ``spectral_value`` of every
-  selector class, which reduce against the bitmask echelon of
+  selector class, which reduce against the position-set echelon of
   ``MorseComplex.boundary_echelon``, built once per grade;
 * ``expand`` of every class of the Morse homology basis;
 * ``json_emit``: ``cli._emit`` of the ``homology`` report of that complex
