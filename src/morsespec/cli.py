@@ -263,13 +263,24 @@ def _trials(cx, classes, seed: int, mine: range):
             random_numerators(cx, rng), random_numerators(cx, rng)
 
 
-def _cpus(most: int) -> int:  # the CPUs this process may run on, at most ``most``
-    return min(len(os.sched_getaffinity(0)), most) if hasattr(os, "sched_getaffinity") else 1
+def _cpus() -> list:  # the CPUs this process may run on, ascending
+    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
 
 
-def _worker(items) -> tuple:
+def _pin(cpus) -> None:
+    """Keep this process on ``cpus``: a scheduler that does not balance the mask's CPUs
+    (say under ``cpuset.sched_load_balance`` 0) can keep a forked worker on its parent's
+    CPU for its whole life.  A refusal changes nothing."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _worker(items, cpus: list, i: int) -> tuple:
     """``(pid, reader)`` of a forked worker that marshals each value of ``items()`` to a pipe
-    and exits at their end or an error.  No thread runs here, so fork is safe."""
+    and exits at their end or an error.  It runs on ``cpus[i]``, and this process on
+    ``cpus[0]`` until ``_reap``.  No thread runs here, so fork is safe."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -278,6 +289,7 @@ def _worker(items) -> tuple:
         return None, open(r, "rb")
     if pid == 0:
         try:
+            _pin(cpus[i:i + 1])
             os.close(r)
             out = open(w, "wb", buffering=0)
             for item in items():
@@ -285,24 +297,31 @@ def _worker(items) -> tuple:
         finally:
             os._exit(0)
     os.close(w)
+    _pin(cpus[:1])
     return pid, open(r, "rb")
 
 
-def _reap(workers: list) -> None:  # close each (pid, reader)'s reader, end and reap its worker
+def _reap(workers: list, cpus: list) -> None:
+    """Close each (pid, reader)'s reader, end and reap its worker, and give this process
+    back its ``cpus`` if a worker was forked."""
     for pid, reader in workers:
         reader.close()
         if pid is not None:
             os.kill(pid, 9)  # SIGKILL; importing signal would cost every start about 1 ms
             os.waitpid(pid, 0)
+    if any(pid for pid, _ in workers):
+        _pin(cpus)
 
 
 def _fork_trials(cx, classes, seed: int, trials: int):
     """Every trial's entries in trial order.  Process i of n, one per CPU this one may run
     on, runs trials t = i mod n; this one is process 0."""
-    n, workers = _cpus(trials), []
+    cpus = _cpus()
+    n, workers = min(len(cpus), trials), []
     try:
         for i in range(1, n):
-            workers.append(_worker(lambda i=i: _trials(cx, classes, seed, range(i, trials, n))))
+            workers.append(_worker(lambda i=i: _trials(cx, classes, seed, range(i, trials, n)),
+                                   cpus, i))
         sources = [_trials(cx, classes, seed, range(0, trials, n))]
         sources += [map(marshal.load, repeat(reader)) for _, reader in workers]
         for t in range(trials):
@@ -312,7 +331,7 @@ def _fork_trials(cx, classes, seed: int, trials: int):
                 sources[t % n] = _trials(cx, classes, seed, range(t, trials, n))
                 yield from next(sources[t % n])
     finally:
-        _reap(workers)
+        _reap(workers, cpus)
 
 
 def _beside(spec: str, own, job, fork: bool = True) -> tuple:
@@ -320,8 +339,9 @@ def _beside(spec: str, own, job, fork: bool = True) -> tuple:
     and a torus (read twice, unlike a file), a worker runs job on a torus it builds while this
     process runs own.  Without its result, job runs here after own, which takes every input
     that fails first in the serial order: errors are serial."""
-    if fork and spec.startswith("torus:") and _cpus(2) > 1:
-        pid, result = _worker(lambda: [job(_parse_complex(spec))])
+    cpus = _cpus()
+    if fork and spec.startswith("torus:") and len(cpus) > 1:
+        pid, result = _worker(lambda: [job(_parse_complex(spec))], cpus, 1)
     else:
         pid, result = None, open(os.devnull, "rb")
     try:
@@ -332,7 +352,7 @@ def _beside(spec: str, own, job, fork: bool = True) -> tuple:
         except EOFError:
             return cx, mine, job(cx)
     finally:
-        _reap([(pid, result)])
+        _reap([(pid, result)], cpus)
 
 
 def _cmd_compare(args) -> int:

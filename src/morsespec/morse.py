@@ -153,7 +153,9 @@ def build_gradient(fld: ScalarField) -> DiscreteGradient:
     star the matching is built coreduction style: a cell is matched to a
     coface as soon as it is that coface's only unpaired face, smallest keys
     first; when nothing is matchable the smallest remaining cell is declared
-    critical.
+    critical.  A regular point's star (the vertex, two edges and one cell
+    with both among its faces, most stars of a smooth field) needs no heap:
+    the vertex takes the edge of smaller key and the cell the other.
     Pairings of this kind can never close a V-path, and paths between stars
     only descend, so the matching is acyclic by construction.  Stars are
     matched independently and walked in vertex-id order, which keeps the walk
@@ -183,6 +185,12 @@ def build_gradient(fld: ScalarField) -> DiscreteGradient:
             critical.add(v)
             continue
         # Members are in id order, and ids run dimension by dimension.
+        if len(members) == 4:  # a regular point's star: v, edges a and b, one cell on both?
+            _, a, b, co = members
+            if b < edge_end <= co and a in faces[co] and b in faces[co]:
+                lo, hi = (a, b) if key[a] < key[b] else (b, a)
+                pair_up[v], pair_up[hi] = lo, co  # as the heap loop pairs them
+                continue
         above = bisect_left(members, edge_end, 1)
         pq_zero = [key[e] for e in members[1:above]]
         if not pq_zero:

@@ -658,6 +658,15 @@ def cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+@pytest.fixture(autouse=True)
+def own_cpus():
+    """Give this process back the CPUs it had: the CLI pins it while workers run, then
+    restores the mask it read, which ``cpus`` fakes."""
+    mask, restore = os.sched_getaffinity(0), os.sched_setaffinity
+    yield
+    restore(0, mask)
+
+
 def no_child_left() -> bool:
     try:
         os.waitpid(-1, os.WNOHANG)
@@ -815,8 +824,10 @@ def test_stopped_stage_worker_leaves_its_work_to_the_parent(capsys, monkeypatch,
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("command", [
-    *FORKED_STAGES, "compare --complex torus:6:6 --trials 5 --seed 3 --class all"])
+FORKING = [*FORKED_STAGES, "compare --complex torus:6:6 --trials 5 --seed 3 --class all"]
+
+
+@pytest.mark.parametrize("command", FORKING)
 def test_failed_fork_leaves_the_work_to_the_parent(capsys, monkeypatch, command):
     # A fork refused at a process or memory limit reads as a worker that stopped.
     def fork():
@@ -829,6 +840,44 @@ def test_failed_fork_leaves_the_work_to_the_parent(capsys, monkeypatch, command)
     fds = sorted(os.listdir("/dev/fd"))
     assert run_cli(capsys, *command.split()) == serial
     assert serial[0] == 0 and sorted(os.listdir("/dev/fd")) == fds and no_child_left()
+
+
+@pytest.mark.parametrize("command", FORKING)
+def test_each_process_is_pinned_to_a_cpu_of_its_own(capsys, monkeypatch, tmp_path, command):
+    # The recorder pins nothing: each process appends "pid cpu..." per call.
+    calls = tmp_path / "pins"
+
+    def sched_setaffinity(pid, cpu_ids):
+        with open(calls, "a") as fh:
+            fh.write(" ".join(map(str, [os.getpid(), *sorted(cpu_ids)])) + "\n")
+
+    monkeypatch.setattr(os, "sched_setaffinity", sched_setaffinity)
+    cpus(monkeypatch, 3)
+    code, _, err = run_cli(capsys, *command.split())
+    assert code == 0 and err == "" and no_child_left()
+    pins: dict[int, list] = {}
+    for line in calls.read_text().splitlines():
+        pid, *cpu_ids = map(int, line.split())
+        pins.setdefault(pid, []).append(cpu_ids)
+    # This process takes CPU 0 at each fork and gets its mask back at the end;
+    # worker i takes CPU i.
+    workers = 2 if "--trials" in command else 1
+    assert pins.pop(os.getpid()) == [[0]] * workers + [[0, 1, 2]]
+    assert sorted(pins.values()) == [[[i]] for i in range(1, workers + 1)]
+
+
+@pytest.mark.parametrize("command", FORKING)
+def test_refused_pinning_gives_the_serial_report(capsys, monkeypatch, command):
+    # Pinning to a CPU the host lacks (the tests fake 3) raises; nothing changes.
+    def sched_setaffinity(pid, cpu_ids):
+        raise OSError(22, "Invalid argument")
+
+    cpus(monkeypatch, 1)
+    serial = run_cli(capsys, *command.split())
+    cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "sched_setaffinity", sched_setaffinity)
+    assert run_cli(capsys, *command.split()) == serial
+    assert serial[0] == 0 and no_child_left()
 
 
 TETRA = "0 1 2\n0 1 3\n0 2 3\n1 2 3\n"

@@ -10,6 +10,7 @@ tie-breaks; any change to the matching changes the digest.
 """
 
 import hashlib
+import math
 import random
 import time
 
@@ -18,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import cubical_3torus, dyadic_field, random_simplicial
-from morsespec import build_from_simplicial, build_torus_grid, make_field
+from conftest import DENOM, cubical_3torus, dyadic_field, random_simplicial
+from morsespec import CellComplex, build_from_simplicial, build_torus_grid, make_field
 from morsespec.errors import ComplexBuildError
 from morsespec.fields import expression_field
 from morsespec.morse import DiscreteGradient, build_gradient, build_morse_complex, vertex_rank
@@ -215,3 +216,104 @@ def test_one_lower_star_of_20000_triangles_is_matched_in_one_pass():
     assert time.perf_counter() - start < 5
     # The fan is a disk: the critical cells count its Euler characteristic.
     assert sum((-1) ** cx.dim(c) for c in g.critical) == 1
+
+
+# -- the regular-star route ---------------------------------------------------
+#
+# A lower star of exactly its vertex v, two edges a and b and one cell above
+# dimension 1 with both among its faces (a regular point's, on a surface) is
+# matched without the heap: v with the edge of smaller key, the other edge
+# with the cell.  Every other star takes the heap loop.
+
+
+def regular_share(fld) -> float:
+    """The share of lower stars that take the regular-star route."""
+    cx, rank = fld.complex, vertex_rank(fld)
+    stars = [[] for _ in rank]
+    for c in range(len(cx)):
+        stars[max(rank[u] for u in cx.vertices[c])].append(c)
+    regular = [m for m in stars if len(m) == 4 and cx.dim(m[1]) == cx.dim(m[2]) == 1
+               and cx.dim(m[3]) > 1 and {m[1], m[2]} <= set(cx.faces[m[3]])]
+    return len(regular) / len(stars)
+
+
+@pytest.mark.parametrize("name", ["bump", "twobump"])
+def test_gradient_equals_reference_where_most_stars_are_regular(name):
+    cx = build_torus_grid(64, 64)
+    fld = expression_field(cx, name)
+    assert regular_share(fld) > 0.9
+    assert_same_matching(cx, fld, "id")
+
+
+@pytest.mark.parametrize("values, first", [([0.0, 0.5, 1.0], (0, 2)), ([0.5, 0.0, 1.0], (1, 2))])
+def test_regular_star_pairs_its_vertex_with_the_smaller_edge(values, first):
+    # Vertex 2 tops the triangle: its star is 2, edges 02 and 12, and the
+    # triangle.  The edge to the lower of 0 and 1 has the smaller key.
+    cx = build_from_simplicial([[0, 1, 2]])
+    edge = {cx.vertices[e]: e for e in cx.ids_of_dim(1)}
+    other = edge[(0, 2)] + edge[(1, 2)] - edge[first]
+    fld = make_field(cx, values)
+    assert regular_share(fld) == 1 / 3
+    g = build_gradient(fld)
+    assert g.pair_up[2] == edge[first] and g.pair_up[other] == cx.ids_of_dim(2)[0]
+    assert_same_matching(cx, fld, "id")
+
+
+@pytest.mark.parametrize("values", [[0.0, 0.5, 1.0], [0.5, 0.0, 1.0]])
+def test_star_whose_top_cell_misses_an_edge_takes_the_heap_loop(values):
+    # Hand-built: the 2-cell 6 on the vertices 0, 1, 2 lists the edges 3 =
+    # {0, 2} and 5 = {0, 1} as its faces but not 4 = {1, 2}, so the lower star
+    # of vertex 2 (2, 3, 4 and 6) has the regular shape without its faces.
+    # The boundary of 6 is no cycle, and the heap loop leaves 6 neither
+    # matched nor critical: the two routes are compared, not validated.
+    cx = CellComplex(((),) * 3 + ((0, 2), (1, 2), (0, 1)) + ((3, 5),),
+                     ((0,), (1,), (2,), (0, 2), (1, 2), (0, 1), (0, 1, 2)), (0, 3, 6, 7),
+                     "hand-built")
+    fld = make_field(cx, values)
+    assert regular_share(fld) == 0
+    assert_same_matching(cx, fld, "id")
+    assert build_gradient(fld).pair_up.get(4) != 6
+
+
+def smooth_values(points, period, centers) -> list[float]:
+    """Sums of Gaussians at ``centers`` on a torus of sides ``period``,
+    rounded to k / 2^20: smooth fields whose values are exact."""
+    def wrap(d, p):
+        return min(abs(d) % p, p - abs(d) % p)
+
+    return [round(sum(h * math.exp(-(wrap(x - x0, period[0]) ** 2 + wrap(y - y0, period[1]) ** 2)
+                                   / (2 * w * w)) for x0, y0, h, w in centers) * DENOM) / DENOM
+            for x, y in points]
+
+
+@st.composite
+def gradient_instances(draw):
+    """A simplicial 2-complex on at most 8 vertices or a torus of 2 to 9
+    vertices a side, with a dyadic, a plateau ({0, 1/2, 1}) or a smooth
+    field.  The simplicial vertices sit on a circle for the smooth one."""
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 8))
+        simplices = st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
+        cx = build_from_simplicial(draw(st.lists(simplices, min_size=1, max_size=12)))
+        points, period = [(v, 0) for v in range(cx.n_vertices)], (cx.n_vertices, 1)
+    else:
+        period = (draw(st.integers(2, 9)), draw(st.integers(2, 9)))
+        cx = build_torus_grid(*period)
+        points = [(i, j) for j in range(period[1]) for i in range(period[0])]
+    kind = draw(st.sampled_from(("dyadic", "plateau", "smooth")))
+    if kind == "smooth":
+        center = st.tuples(st.floats(0, period[0]), st.floats(0, period[1]),
+                           st.floats(0.25, 1), st.floats(0.5, 4))
+        values = smooth_values(points, period, draw(st.lists(center, min_size=1, max_size=3)))
+    else:
+        each = (st.integers(0, DENOM - 1).map(lambda k: k / DENOM) if kind == "dyadic"
+                else st.sampled_from((0.0, 0.5, 1.0)))
+        values = draw(st.lists(each, min_size=cx.n_vertices, max_size=cx.n_vertices))
+    return cx, make_field(cx, values)
+
+
+@settings(deadline=None)
+@given(gradient_instances(), st.sampled_from(TIE_BREAKS))
+def test_gradient_equals_reference_on_generated_complexes(instance, tie_break):
+    cx, fld = instance
+    assert_same_matching(cx, fld, tie_break)
