@@ -377,6 +377,9 @@ def build_morse_complex(gradient: DiscreteGradient) -> MorseComplex:
     cx, vals = gradient.complex, gradient.field.cell_values
     faces, up, critical = cx.faces, gradient.pair_up, gradient.critical
     ids = sorted(critical)
+    if ids and not 0 <= ids[0] <= ids[-1] < len(cx):  # only a forged gradient names such a cell
+        bad = ids[0] if ids[0] < 0 else ids[-1]
+        raise ChainError(f"critical id {bad} is not a cell of the complex (0..{len(cx) - 1})")
     grades: dict[int, list[int]] = {}
     # Ids run dimension by dimension: a stable sort by value gives (value, dim, id).
     for cid in sorted(ids, key=vals.__getitem__):

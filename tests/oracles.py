@@ -42,6 +42,13 @@ The predicates check what the package computes and compute nothing it needs:
 boundary against the total order on cells, ``same_class`` of two Morse
 chains, ``functoriality_check`` and ``roundtrip_check`` of the continuation
 maps, ``lipschitz_check`` of rho and ``spectral_gap`` of a spectrum.
+
+``product_field`` and ``product_rhos`` are the Künneth oracle, exact at any
+size: the torus grid is the product of two cycle graphs, and on the sum field
+h(i, j) = f(i) + g(j) a cell's value is the max of f on its x factor plus the
+max of g on its y factor, so the filtered chain complex is the tensor product
+of two circles'.  On a circle rho(point) is min f and rho(circle) is max f,
+so four classes of the torus have spectral values read off f and g alone.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ import heapq
 from dataclasses import dataclass
 
 import morsespec.homology as fullh
-from morsespec.complex import CellComplex, c0_distance, make_field
+from morsespec.complex import CellComplex, build_torus_grid, c0_distance, make_field
 from morsespec.errors import ChainError, ComplexBuildError, ComplexMismatchError
 from morsespec.morse import (
     DiscreteGradient,
@@ -518,3 +525,22 @@ def spectral_gap(values) -> float:
     if len(vs) < 2:
         return float("inf")
     return min(b - a for a, b in zip(vs, vs[1:]))
+
+
+def product_field(f, g):
+    """The field h(i, j) = f(i) + g(j) on ``torus:len(f):len(g)``."""
+    return make_field(build_torus_grid(len(f), len(g)), [a + b for b in g for a in f])
+
+
+def product_rhos(fld, f, g) -> list[tuple[fullh.HomologyClass, float]]:
+    """The four classes of ``product_field(f, g)`` and their spectral values:
+    a point, min f + min g; the row-0 loop of h-edges, max f + min g; the
+    column-0 loop of v-edges, min f + max g; the fundamental class,
+    max f + max g."""
+    nx, nv = len(f), fld.complex.n_vertices
+    return [
+        (fullh.HomologyClass(0, frozenset({0})), min(f) + min(g)),
+        (fullh.HomologyClass(1, frozenset(range(nv, nv + nx))), max(f) + min(g)),
+        (fullh.HomologyClass(1, frozenset(range(2 * nv, 3 * nv, nx))), min(f) + max(g)),
+        (fullh.HomologyClass(2, frozenset(fld.complex.ids_of_dim(2))), max(f) + max(g)),
+    ]

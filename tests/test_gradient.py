@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import DENOM, cubical_3torus, dyadic_field, random_simplicial
 from morsespec import CellComplex, build_from_simplicial, build_torus_grid, make_field
-from morsespec.errors import ComplexBuildError
+from morsespec.errors import ChainError, ComplexBuildError
 from morsespec.fields import expression_field
 from morsespec.morse import DiscreteGradient, build_gradient, build_morse_complex, vertex_rank
 
@@ -126,9 +126,10 @@ def test_validate_refuses_a_cell_outside_the_complex(stray):
     with pytest.raises(ComplexBuildError, match=expect):
         oracles.validate_gradient(bad)
     if stray == "-1":
-        # What validate guards: the Morse complex would grade the bogus id
-        # (under dimension -1, which the offsets give it) without an error.
-        assert build_morse_complex(bad).position(-1) == (-1, 0)
+        # The offsets would grade the bogus id under dimension -1, so the Morse
+        # builder refuses it too.
+        with pytest.raises(ChainError, match=r"^critical id -1 is not a cell"):
+            build_morse_complex(bad)
 
 
 

@@ -302,6 +302,18 @@ def test_vertex_paired_with_a_square_is_a_chain_error():
     with pytest.raises(ChainError, match=f"^vertex 0 is paired with cell {square}, not an edge$"):
         build_morse_complex(g)
 
+
+@pytest.mark.parametrize("past", ["below", "above"])
+def test_critical_id_outside_the_complex_is_a_chain_error(past):
+    # Forged: an id below 0 would be graded under dimension -1, and one past the
+    # last cell would fail on the field's value list.
+    cx = build_torus_grid(3, 3)
+    bad = -1 if past == "below" else len(cx) + 5
+    g = DiscreteGradient(make_field(cx, range(9)), {}, frozenset({bad, 0}))
+    with pytest.raises(ChainError, match=rf"^critical id {bad} is not a cell of the complex \(0\.\.35\)"):
+        build_morse_complex(g)
+
+
 def test_edge_end_neither_matched_nor_critical_flows_nowhere():
     # Forged: a critical vertex dropped from the critical cells, or a matched
     # vertex dropped from the matching, ends every V-path that reaches it;

@@ -4,11 +4,13 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import morsespec.fields
 import morsespec.homology as fullh
 import oracles
-from conftest import cubical_3torus, cycle_graph, dyadic_field, shifted, tetra_boundary
+from conftest import DENOM, cubical_3torus, cycle_graph, dyadic_field, shifted, tetra_boundary
 from morsespec import (
     MorseComplex,
     build_gradient,
@@ -440,3 +442,37 @@ def test_invariance_fine_step_bump_family():
     mcs = [MorseComplex.from_field(f) for f in family]
     for res in sweep(mcs, [point_class(cx), fundamental_class(cx)]):
         assert res.constant
+
+
+# ------------------------------------------------------------ Künneth products
+
+
+def assert_product_rhos(f, g):
+    fld = oracles.product_field(f, g)
+    mc = MorseComplex.from_field(fld)
+    for Y, want in oracles.product_rhos(fld, f, g):
+        assert rho(mc, Y).sigma == want, (Y.grade, min(Y.support))
+
+
+def test_product_field_at_256():
+    # Exact at a size where every other oracle stops: the four Künneth values
+    # of a sum of two random dyadic factors on the 256x256 torus.
+    rng = random.Random(31)
+    f, g = ([k / DENOM for k in rng.sample(range(DENOM), 256)] for _ in range(2))
+    assert_product_rhos(f, g)
+
+
+def factor_values(n):
+    """One factor's n values: dyadic, plateau or constant."""
+    return st.one_of(
+        st.lists(st.integers(0, DENOM - 1).map(lambda k: k / DENOM), min_size=n, max_size=n),
+        st.lists(st.sampled_from((0.0, 1.0, 2.0)), min_size=n, max_size=n),
+        st.integers(-8, 8).map(lambda k: [k / 4] * n),
+    )
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_product_field_on_small_tori(data):
+    nx, ny = data.draw(st.integers(2, 12)), data.draw(st.integers(2, 12))
+    assert_product_rhos(data.draw(factor_values(nx)), data.draw(factor_values(ny)))
